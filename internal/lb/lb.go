@@ -4,13 +4,18 @@
 // on one cache and hit ratios stay high, and adding a cache moves only
 // ~1/N of the keyspace instead of reshuffling it), writes go to the
 // store shard owning the key, and everything else is answered locally.
-// It is a message-level proxy built on the same client pools the caches
-// use.
 //
-// Close is graceful: the listener stops accepting, in-flight proxied
-// requests drain (bounded by DrainTimeout), and only then are the
-// upstream client pools torn down — mirroring how the store and cache
-// servers wait out their connection goroutines.
+// A GET is routed as a frame, not a message (forward.go): the LB peeks
+// its key, rewrites its seq, and forwards the bytes on one multiplexed
+// conn per cache, splicing the response back verbatim. Every other
+// request is decoded and proxied through the same client pools the
+// caches use: PUTs need the sharded client's failover retry, and
+// MGET/MPUT split by shard.
+//
+// Close is graceful: the listener stops accepting, in-flight requests
+// drain (bounded by DrainTimeout), the rest are answered with an error
+// as the upstream conns close, and the connection goroutines are
+// waited out, mirroring the store and cache servers.
 package lb
 
 import (
@@ -53,8 +58,9 @@ type Config struct {
 	// VirtualNodes sets the ring points per node on both rings; <= 0
 	// uses ring.DefaultVirtualNodes.
 	VirtualNodes int
-	// DrainTimeout bounds how long Close waits for in-flight proxied
-	// requests before tearing down the upstream pools; defaults to 5s.
+	// DrainTimeout bounds how long Close waits for in-flight requests
+	// before tearing down the upstream conns, and then for the error
+	// answers that teardown queues to flush; defaults to 5s.
 	DrainTimeout time.Duration
 	// SlowTraceThreshold, when positive, makes traced requests that take
 	// at least this long emit a one-line span log. Zero disables the
@@ -78,8 +84,13 @@ type Server struct {
 	cfg       Config
 	stores    *client.Sharded
 	cacheRing *ring.Ring
-	caches    []*client.Client
-	c         Counters
+	// caches serve the decoded MGET path; ups forward GET frames. Both
+	// are indexed by cacheRing node.
+	caches []*client.Client
+	ups    []upstream
+	// fwdTimeout bounds a forwarded GET (fwdTimeout; tests shorten it).
+	fwdTimeout time.Duration
+	c          Counters
 
 	reg *stats.Registry
 	// readRTT and writeRTT sample the upstream round trip of every
@@ -96,10 +107,10 @@ type Server struct {
 	watch  *cluster.Watcher // nil outside cluster mode
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
-	// inflight tracks proxied request/response exchanges so Close can
-	// drain them before tearing down the upstream clients. draining
-	// gates new registrations (under mu) so an Add can never race
-	// Close's Wait from a zero counter.
+	// inflight tracks request/response exchanges until their response
+	// is flushed, so Close can drain them before tearing down the
+	// upstream conns. draining gates new registrations (under mu) so an
+	// Add can never race Close's Wait from a zero counter.
 	inflight sync.WaitGroup
 	draining bool
 }
@@ -153,9 +164,11 @@ func New(cfg Config) (*Server, error) {
 		stores.Close()
 		return nil, fmt.Errorf("lb: %w", err)
 	}
-	s := &Server{cfg: cfg, stores: stores, cacheRing: cacheRing}
-	for _, addr := range cacheRing.Nodes() {
+	s := &Server{cfg: cfg, stores: stores, cacheRing: cacheRing, fwdTimeout: fwdTimeout}
+	s.ups = make([]upstream, cacheRing.Len())
+	for i, addr := range cacheRing.Nodes() {
 		s.caches = append(s.caches, client.New(addr, client.Options{}))
+		s.ups[i].addr = addr
 	}
 	s.reg = s.buildRegistry()
 	if cfg.ClusterAddr != "" {
@@ -169,11 +182,6 @@ func New(cfg Config) (*Server, error) {
 		})
 	}
 	return s, nil
-}
-
-// cacheFor picks the cache by consistent-hash key affinity.
-func (s *Server) cacheFor(key string) *client.Client {
-	return s.caches[s.cacheRing.Owner(key)]
 }
 
 // StoreRing exposes the write-path ring for tests and tooling.
@@ -221,7 +229,12 @@ func (s *Server) Serve(ln net.Listener) error {
 	for {
 		conn, err := ln.Accept()
 		if err != nil {
-			cancel()
+			s.mu.Lock()
+			closing := s.draining
+			s.mu.Unlock()
+			if !closing {
+				cancel() // Close cancels only once in-flight requests are answered
+			}
 			return fmt.Errorf("lb: accept: %w", err)
 		}
 		s.wg.Add(1)
@@ -239,9 +252,11 @@ func (s *Server) Addr() net.Addr {
 	return s.ln.Addr()
 }
 
-// Close stops the balancer gracefully: no new connections are accepted,
-// in-flight proxied requests finish and respond (bounded by
-// DrainTimeout), then the upstream pools close and the connection
+// Close stops the balancer gracefully: no new connections are accepted
+// and in-flight requests finish and respond, bounded by DrainTimeout.
+// Then the upstream conns close, which answers every request still in
+// flight with an error; those answers get one more DrainTimeout to
+// flush before the client connections close and the connection
 // goroutines are waited out.
 func (s *Server) Close() error {
 	s.mu.Lock()
@@ -257,17 +272,25 @@ func (s *Server) Close() error {
 		s.inflight.Wait()
 		close(drained)
 	}()
-	select {
-	case <-drained:
-	case <-time.After(s.cfg.DrainTimeout):
-		s.cfg.Logger.Printf("lb: drain timeout after %v, aborting in-flight proxies", s.cfg.DrainTimeout)
+	wait := func() bool {
+		select {
+		case <-drained:
+			return true
+		case <-time.After(s.cfg.DrainTimeout):
+			return false
+		}
 	}
-	if cancel != nil {
-		cancel() // closes idle client-facing connections
+	if !wait() {
+		s.cfg.Logger.Printf("lb: drain timeout after %v, aborting in-flight requests", s.cfg.DrainTimeout)
 	}
 	s.stores.Close()
-	for _, c := range s.caches {
-		c.Close()
+	for i := range s.ups {
+		s.caches[i].Close()
+		s.ups[i].close(s)
+	}
+	wait()
+	if cancel != nil {
+		cancel() // closes the client-facing connections
 	}
 	s.wg.Wait()
 	return err
@@ -285,8 +308,9 @@ func (s *Server) beginRequest() bool {
 	return true
 }
 
-// maxConnInflight bounds the concurrently proxied requests per client
-// connection; beyond it the read loop exerts backpressure.
+// maxConnInflight bounds the requests per client connection, forwarded
+// and dispatched together, whose response is not yet flushed; beyond it
+// the read loop exerts backpressure.
 const maxConnInflight = 256
 
 func (s *Server) handleConn(ctx context.Context, conn net.Conn) {
@@ -294,35 +318,42 @@ func (s *Server) handleConn(ctx context.Context, conn net.Conn) {
 	stop := context.AfterFunc(ctx, func() { conn.Close() })
 	defer stop()
 
-	out := make(chan proto.Outgoing, 64)
+	sem := make(chan struct{}, maxConnInflight)
+	cc := &clientConn{out: make(chan proto.Outgoing, maxConnInflight)}
 	writerDone := make(chan struct{})
 	go func() {
 		defer close(writerDone)
-		// Each response's inflight slot is released only once its frame
-		// is flushed (or abandoned on a dead connection), so Close's
-		// drain wait means "responded", not merely "queued".
-		proto.WriteQueueFlushed(conn, out, conn, func(n int) {
+		// Each response's slots are released only once its frame is
+		// flushed (or abandoned on a dead connection), so Close's drain
+		// wait means "responded", not merely "queued", and out never
+		// holds more than maxConnInflight frames.
+		proto.WriteQueueFlushed(conn, cc.out, conn, func(n int) {
 			for i := 0; i < n; i++ {
+				<-sem
 				s.inflight.Done()
 			}
 		})
 	}()
 
-	// Requests on one connection are dispatched concurrently (bounded by
-	// maxConnInflight) and may be answered out of order — each response
-	// echoes its request's Seq, and the pipelined client demuxes by it.
-	// Without this, one proxied upstream round trip would stall every
-	// request queued behind it on the connection.
-	var dispatchers sync.WaitGroup
-	sem := make(chan struct{}, maxConnInflight)
-
+	// Requests on one connection are answered out of order: each
+	// response echoes its request's Seq, and the pipelined client demuxes
+	// by it. A GET is forwarded from this loop; any other request is
+	// dispatched on its own goroutine, so one proxied round trip never
+	// stalls the requests queued behind it.
 	r := proto.NewReader(conn)
 	for {
-		// Pooled request Msg: the dispatcher goroutine owns it and
-		// returns it to the pool when done.
-		m := proto.GetMsg()
-		if err := r.ReadMsgInto(m); err != nil {
-			proto.PutMsg(m)
+		frame, err := r.ReadFrame()
+		var m *proto.Msg
+		key, traceID, isGet := proto.PeekGet(frame)
+		if err == nil && !isGet {
+			// Pooled request Msg: the dispatcher goroutine owns it and
+			// returns it to the pool when done.
+			m = proto.GetMsg()
+			if err = r.DecodeFrame(frame, m); err != nil {
+				proto.PutMsg(m)
+			}
+		}
+		if err != nil {
 			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) && ctx.Err() == nil {
 				s.c.MalformedFrames.Inc()
 				s.cfg.Logger.Printf("lb: conn %s: %v", conn.RemoteAddr(), err)
@@ -333,48 +364,50 @@ func (s *Server) handleConn(ctx context.Context, conn net.Conn) {
 			proto.PutMsg(m)
 			break // draining: reject requests arriving after Close
 		}
-		if m.Value != nil {
-			// The value aliases the reader's buffer, which the next
-			// ReadMsg overwrites while the dispatcher still runs. (Keys
-			// are interned strings — immutable, safe to hold.)
-			m.Value = append([]byte(nil), m.Value...)
-		}
-		if len(m.Ops) > 0 {
-			// Batched writes: each op's value aliases the reader buffer
-			// too. One backing buffer copies them all.
-			total := 0
-			for i := range m.Ops {
-				total += len(m.Ops[i].Value)
-			}
-			buf := make([]byte, 0, total)
-			for i := range m.Ops {
-				if m.Ops[i].Value == nil {
-					continue
-				}
-				start := len(buf)
-				buf = append(buf, m.Ops[i].Value...)
-				m.Ops[i].Value = buf[start:len(buf):len(buf)]
-			}
-		}
 		sem <- struct{}{}
-		dispatchers.Add(1)
+		cc.pending.Add(1)
+		if isGet {
+			s.forward(cc, frame, key, traceID)
+			continue
+		}
+		ownValues(m)
 		go func(m *proto.Msg) {
-			defer func() {
-				<-sem
-				dispatchers.Done()
-			}()
 			tr := proto.StartSpan(m, "lb")
 			resp := s.route(m, tr)
 			resp.Seq = m.Seq
 			proto.PutMsg(m)
-			// inflight is released by the writer post-flush.
-			out <- proto.Outgoing{Msg: s.finishTrace(tr, resp), Pooled: true}
+			cc.reply(proto.Outgoing{Msg: s.finishTrace(tr, resp), Pooled: true})
 		}(m)
 	}
-	dispatchers.Wait()
-	close(out)
+	cc.pending.Wait()
+	close(cc.out)
 	<-writerDone
 	conn.Close()
+}
+
+// ownValues copies m's values off the reader's buffer, which the next
+// read overwrites while the dispatcher still runs. (Keys are interned
+// strings, immutable and safe to hold.)
+func ownValues(m *proto.Msg) {
+	if m.Value != nil {
+		m.Value = append([]byte(nil), m.Value...)
+	}
+	if len(m.Ops) > 0 {
+		// Batched writes: one backing buffer copies every op's value.
+		total := 0
+		for i := range m.Ops {
+			total += len(m.Ops[i].Value)
+		}
+		buf := make([]byte, 0, total)
+		for i := range m.Ops {
+			if m.Ops[i].Value == nil {
+				continue
+			}
+			start := len(buf)
+			buf = append(buf, m.Ops[i].Value...)
+			m.Ops[i].Value = buf[start:len(buf):len(buf)]
+		}
+	}
 }
 
 // finishTrace closes a traced request's hop span on its response and
@@ -390,33 +423,6 @@ func (s *Server) finishTrace(tr *proto.SpanRec, resp *proto.Msg) *proto.Msg {
 
 func (s *Server) route(m *proto.Msg, tr *proto.SpanRec) *proto.Msg {
 	switch m.Type {
-	case proto.MsgGet:
-		s.c.Reads.Inc()
-		start := time.Now()
-		var (
-			value   []byte
-			version uint64
-			err     error
-		)
-		if tr != nil {
-			var ct *proto.Trace
-			value, version, ct, err = s.cacheFor(m.Key).GetTraced(m.Key, tr.ID())
-			tr.Add(ct)
-		} else {
-			value, version, err = s.cacheFor(m.Key).Get(m.Key)
-		}
-		s.readRTT.Observe(float64(time.Since(start)))
-		resp := proto.GetMsg()
-		switch {
-		case err == nil:
-			resp.Type, resp.Status, resp.Version, resp.Value = proto.MsgGetResp, proto.StatusOK, version, value
-		case errors.Is(err, client.ErrNotFound):
-			resp.Type, resp.Status = proto.MsgGetResp, proto.StatusNotFound
-		default:
-			s.c.Errors.Inc()
-			resp.Type, resp.Err = proto.MsgErr, err.Error()
-		}
-		return resp
 	case proto.MsgPut:
 		s.c.Writes.Inc()
 		start := time.Now()

@@ -19,11 +19,14 @@ func encodeSeed(f *testing.F, m *Msg) []byte {
 }
 
 // FuzzReadMsg feeds arbitrary byte soup to the reader. The contract
-// under test: ReadMsgInto never panics and never over-reads — it
-// consumes exactly the frames it accepts, errors cleanly on everything
-// else (ErrMalformed / ErrFrameTooLarge / io.EOF family), and any frame
-// it does accept re-encodes, so pooled-Msg reuse after a parse cannot
-// leak malformed state back onto the wire.
+// under test: ReadFrame plus DecodeFrame (together ReadMsgInto) never
+// panic and never over-read — they consume exactly the frames they
+// accept, error cleanly on everything else (ErrMalformed /
+// ErrFrameTooLarge / io.EOF family), and any frame accepted re-encodes,
+// so pooled-Msg reuse after a parse cannot leak malformed state back
+// onto the wire. The GET peek a frame router uses instead of decoding
+// must agree with the decoder: it accepts a frame exactly when
+// DecodeFrame decodes it as a MsgGet, with the same key and trace ID.
 func FuzzReadMsg(f *testing.F) {
 	// Valid frames, alone and concatenated, so mutation starts near the
 	// accept/reject boundary.
@@ -89,12 +92,38 @@ func FuzzReadMsg(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 9, byte(MsgGet)})                 // truncated payload
 	f.Add([]byte{0, 0, 0, 9, 0xee, 0, 0, 0, 0, 0, 0, 0, 0}) // unknown type
 	f.Add([]byte{})
+	// GET shapes at the peek's edges: key lengths overrunning the frame,
+	// untraced and traced; frames truncated right after the seq; a
+	// trailing byte after the key.
+	f.Add([]byte{0, 0, 0, 14, byte(MsgGet), 0, 0, 0, 0, 0, 0, 0, 1, 0, 100, 'a', 'b', 'c'})
+	f.Add([]byte{0, 0, 0, 12, byte(MsgGet), 0, 0, 0, 0, 0, 0, 0, 1, 0xff, 0xff, 'a'})
+	f.Add([]byte{0, 0, 0, 21, byte(MsgGet) | traceFlag, 0, 0, 0, 0, 0, 0, 0, 1,
+		0, 0, 0, 0, 0, 0, 0, 9, 0, 0x7f, 0xff, 'a'})
+	f.Add([]byte{0, 0, 0, 21, byte(MsgGet) | traceFlag, 0, 0, 0, 0, 0, 0, 0, 1,
+		0, 0, 0, 0, 0, 0, 0, 9, 1, 0, 9, 'a'})
+	f.Add([]byte{0, 0, 0, 9, byte(MsgGet), 0, 0, 0, 0, 0, 0, 0, 1})
+	f.Add([]byte{0, 0, 0, 9, byte(MsgGet) | traceFlag, 0, 0, 0, 0, 0, 0, 0, 1})
+	f.Add([]byte{0, 0, 0, 13, byte(MsgGet), 0, 0, 0, 0, 0, 0, 0, 1, 0, 1, 'k', 'x'})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := NewReader(bytes.NewReader(data))
 		for {
+			frame, err := r.ReadFrame()
 			m := GetMsg()
-			err := r.ReadMsgInto(m)
+			if err == nil {
+				key, traceID, isGet := PeekGet(frame)
+				err = r.DecodeFrame(frame, m)
+				decodedGet := err == nil && m.Type == MsgGet
+				if isGet != decodedGet {
+					t.Fatalf("PeekGet ok=%v but DecodeFrame gives %v, %v", isGet, m.Type, err)
+				}
+				if isGet && string(key) != m.Key {
+					t.Fatalf("PeekGet key %q, DecodeFrame key %q", key, m.Key)
+				}
+				if isGet && m.Trace != nil && m.Trace.ID != traceID {
+					t.Fatalf("PeekGet trace ID %#x, DecodeFrame %#x", traceID, m.Trace.ID)
+				}
+			}
 			if err != nil {
 				PutMsg(m)
 				// Errors must be the documented framing errors or a

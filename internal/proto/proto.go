@@ -523,11 +523,13 @@ func WriteQueueFlushed(w io.Writer, out <-chan Outgoing, conn io.Closer, flushed
 		if conn != nil {
 			conn.Close()
 		}
-		for o := range out { // drain until closed so senders never block
-			o.Discard()
-			n++
-		}
 		retire(n)
+		// Drain until closed so senders never block, retiring each frame
+		// as it goes: a producer may wait on a retirement to queue more.
+		for o := range out {
+			o.Discard()
+			retire(1)
+		}
 	}
 	for o := range out {
 		n, closed, err := q.gather(o, out)
@@ -955,54 +957,128 @@ func (r *Reader) ReadMsg() (*Msg, error) {
 	return m, nil
 }
 
-// ReadMsgInto reads and decodes the next frame into m, reusing m's
-// Ops/Keys/Reports/Freqs slice capacity so a steady request loop runs
-// allocation-free. Everything reachable from m — byte slices aliasing
-// the Reader's buffer and the reused slices themselves — is invalidated
-// by the next ReadMsg/ReadMsgInto on this Reader; callers keeping data
-// must copy. Short strings (keys, node names) are interned per Reader:
-// they are immutable, shared across frames, and safe to retain.
+// ReadMsgInto reads and decodes the next frame into m: ReadFrame, then
+// DecodeFrame.
 func (r *Reader) ReadMsgInto(m *Msg) error {
+	frame, err := r.ReadFrame()
+	if err != nil {
+		return err
+	}
+	return r.DecodeFrame(frame, m)
+}
+
+// frameHeaderLen is the fixed head of every frame: the u32 length
+// prefix, the type byte and the u64 sequence number.
+const frameHeaderLen = 13
+
+// ReadFrame reads the next frame without decoding it and returns it
+// whole, length prefix included, so a router can forward it verbatim.
+// The frame holds at least its length, type and seq, and its payload
+// is within MaxFrame. It is a borrowed view of the Reader's buffer: the
+// caller must not mutate it, and the next read on this Reader
+// overwrites it.
+func (r *Reader) ReadFrame() ([]byte, error) {
 	if _, err := io.ReadFull(r.br, r.hdr[:]); err != nil {
 		if errors.Is(err, io.EOF) {
-			return io.EOF
+			return nil, io.EOF
 		}
-		return fmt.Errorf("proto: reading frame header: %w", err)
+		return nil, fmt.Errorf("proto: reading frame header: %w", err)
 	}
 	n := binary.BigEndian.Uint32(r.hdr[:])
 	if n > MaxFrame {
-		return fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, n)
+		return nil, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, n)
 	}
-	if n < 9 {
-		return fmt.Errorf("%w: frame too short (%d bytes)", ErrMalformed, n)
+	if n < frameHeaderLen-4 {
+		return nil, fmt.Errorf("%w: frame too short (%d bytes)", ErrMalformed, n)
 	}
-	if cap(r.buf) < int(n) {
-		r.buf = make([]byte, n)
+	size := 4 + int(n)
+	if cap(r.buf) < size {
+		r.buf = make([]byte, size)
 	}
-	buf := r.buf[:n]
+	frame := r.buf[:size]
 	if cap(r.buf) > maxRetainedScratch {
 		// One-off giant frame: keep the array alive only as long as
-		// this Msg's aliases, not for the connection's lifetime.
+		// this frame's aliases, not for the connection's lifetime.
 		r.buf = nil
 	}
-	if _, err := io.ReadFull(r.br, buf); err != nil {
-		return fmt.Errorf("proto: reading frame body: %w", err)
+	copy(frame, r.hdr[:])
+	if _, err := io.ReadFull(r.br, frame[4:]); err != nil {
+		return nil, fmt.Errorf("proto: reading frame body: %w", err)
+	}
+	return frame, nil
+}
+
+// DecodeFrame decodes a frame returned by ReadFrame into m, reusing m's
+// Ops/Keys/Reports/Freqs slice capacity so a steady request loop runs
+// allocation-free. Byte slices in m alias frame, and the reused slices
+// belong to m: both are invalidated by the next read on this Reader, so
+// callers keeping data must copy. Short strings (keys, node names) are
+// interned per Reader: they are immutable, shared across frames, and
+// safe to retain.
+func (r *Reader) DecodeFrame(frame []byte, m *Msg) error {
+	if len(frame) < frameHeaderLen {
+		return fmt.Errorf("%w: frame too short (%d bytes)", ErrMalformed, len(frame))
 	}
 	ops, keys, reports, freqs := m.Ops[:0], m.Keys[:0], m.Reports[:0], m.Freqs[:0]
-	tb := buf[0]
-	*m = Msg{Type: MsgType(tb &^ traceFlag), Seq: binary.BigEndian.Uint64(buf[1:9])}
+	t, seq, traced := FrameHead(frame)
+	*m = Msg{Type: t, Seq: seq}
 	m.Ops, m.Keys, m.Reports, m.Freqs = ops, keys, reports, freqs
-	payload := buf[9:]
-	if tb&traceFlag != 0 {
+	payload := frame[frameHeaderLen:]
+	if traced {
 		c := &cursor{b: payload, rd: r}
-		tr, err := parseTrace(c)
-		if err != nil {
+		m.Trace = new(Trace)
+		if _, err := parseTrace(c, m.Trace); err != nil {
 			return err
 		}
-		m.Trace = tr
 		payload = payload[c.off:]
 	}
 	return parsePayload(m, payload, r)
+}
+
+// FrameHead returns the message type, sequence number and trace flag of
+// a frame returned by ReadFrame.
+func FrameHead(frame []byte) (t MsgType, seq uint64, traced bool) {
+	return MsgType(frame[4] &^ traceFlag), binary.BigEndian.Uint64(frame[5:frameHeaderLen]), frame[4]&traceFlag != 0
+}
+
+// PeekGet reports whether frame, as returned by ReadFrame, is a
+// well-formed MsgGet, and returns its key and, when traced, its trace
+// ID — what a frame router needs to forward the GET undecoded. It
+// accepts exactly the frames DecodeFrame decodes as a MsgGet, with the
+// same key. The key is borrowed from frame. PeekGet allocates nothing
+// on an accepted frame.
+func PeekGet(frame []byte) (key []byte, traceID uint64, ok bool) {
+	if len(frame) < frameHeaderLen {
+		return nil, 0, false
+	}
+	t, _, traced := FrameHead(frame)
+	if t != MsgGet {
+		return nil, 0, false
+	}
+	c := cursor{b: frame[frameHeaderLen:]}
+	if traced {
+		var err error
+		if traceID, err = parseTrace(&c, nil); err != nil {
+			return nil, 0, false
+		}
+	}
+	key, err := c.bytes16()
+	if err != nil || c.done() != nil {
+		return nil, 0, false
+	}
+	return key, traceID, true
+}
+
+// CopyFrame copies a frame returned by ReadFrame into a pooled
+// SharedFrame holding one reference, with its sequence number rewritten
+// to seq: a router's forwarded copy, which outlives the Reader's buffer
+// and is queued to a WriteQueue like any other raw frame.
+func CopyFrame(frame []byte, seq uint64) *SharedFrame {
+	f := framePool.Get().(*SharedFrame)
+	f.b = append(f.b[:0], frame...)
+	binary.BigEndian.PutUint64(f.b[5:frameHeaderLen], seq)
+	f.refs.Store(1)
+	return f
 }
 
 // internString returns a canonical string for b, so a hot key's name is
@@ -1074,19 +1150,28 @@ func (c *cursor) u64() (uint64, error) {
 	return binary.BigEndian.Uint64(b), nil
 }
 
-func (c *cursor) str16() (string, error) {
+func (c *cursor) bytes16() ([]byte, error) {
 	n, err := c.u16()
 	if err != nil {
-		return "", err
+		return nil, err
 	}
-	b, err := c.need(int(n))
+	return c.need(int(n))
+}
+
+func (c *cursor) str16() (string, error) {
+	b, err := c.bytes16()
 	if err != nil {
 		return "", err
 	}
+	return c.str(b), nil
+}
+
+// str returns b as a string, interned when the cursor has a Reader.
+func (c *cursor) str(b []byte) string {
 	if c.rd != nil && len(b) <= maxInternLen {
-		return c.rd.internString(b), nil
+		return c.rd.internString(b)
 	}
-	return string(b), nil
+	return string(b)
 }
 
 func (c *cursor) bytes32() ([]byte, error) {

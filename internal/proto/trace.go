@@ -60,39 +60,45 @@ func appendTrace(b []byte, t *Trace) ([]byte, error) {
 	return b, nil
 }
 
-func parseTrace(c *cursor) (*Trace, error) {
+// parseTrace decodes the trace block at c into t and returns its ID.
+// With t nil it only validates the block, allocating nothing: the GET
+// peek skips a traced frame's spans this way.
+func parseTrace(c *cursor, t *Trace) (uint64, error) {
 	id, err := c.u64()
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
 	n, err := c.u8()
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
 	if int(n) > MaxTraceSpans {
-		return nil, fmt.Errorf("%w: %d trace spans", ErrMalformed, n)
+		return 0, fmt.Errorf("%w: %d trace spans", ErrMalformed, n)
 	}
-	t := &Trace{ID: id}
-	if n > 0 {
-		t.Spans = make([]Span, 0, n)
+	if t != nil {
+		t.ID = id
+		if n > 0 {
+			t.Spans = make([]Span, 0, n)
+		}
 	}
 	for i := uint8(0); i < n; i++ {
-		var s Span
-		if s.Node, err = c.str16(); err != nil {
-			return nil, err
+		node, err := c.bytes16()
+		if err != nil {
+			return 0, err
 		}
 		start, err := c.u64()
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
 		dur, err := c.u64()
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
-		s.Start, s.Dur = int64(start), int64(dur)
-		t.Spans = append(t.Spans, s)
+		if t != nil {
+			t.Spans = append(t.Spans, Span{Node: c.str(node), Start: int64(start), Dur: int64(dur)})
+		}
 	}
-	return t, nil
+	return id, nil
 }
 
 // TraceLogLine renders a completed trace as one structured log line —
@@ -133,6 +139,14 @@ func StartSpan(m *Msg, node string) *SpanRec {
 		spans = append(make([]Span, 0, n+1), m.Trace.Spans...)
 	}
 	return &SpanRec{id: m.Trace.ID, spans: spans, start: time.Now(), node: node}
+}
+
+// StartSpanID begins a hop span for a traced request that is forwarded
+// undecoded. The request's own spans travel downstream with the frame
+// and come back inside the downstream response trace, so the record
+// starts empty.
+func StartSpanID(id uint64, node string) *SpanRec {
+	return &SpanRec{id: id, start: time.Now(), node: node}
 }
 
 // Add merges a downstream call's response trace into this hop's record.

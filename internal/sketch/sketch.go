@@ -65,8 +65,10 @@ type Tracker interface {
 // c_u against c_m + c_i directly).
 const DefaultEW = 1.0
 
-// Hash folds a string key to the uint64 identity space using FNV-1a.
-func Hash(key string) uint64 {
+// Hash folds a key to the uint64 identity space using FNV-1a. It takes
+// the key as a string or as raw bytes, so a router can hash a key it
+// has not copied out of a frame.
+func Hash[K ~string | ~[]byte](key K) uint64 {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211

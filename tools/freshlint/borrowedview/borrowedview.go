@@ -1,11 +1,15 @@
 // Package borrowedview enforces the borrowed-buffer contract on the
 // zero-copy serving path: byte slices lent by kv.Authority.GetView /
 // GetViewAged / GetViewAgedBatch are the authority's own entry buffers,
-// and proto.SharedFrame.Bytes is a refcounted frame's backing array. A
-// caller that mutates one corrupts the stored value for every future
+// proto.SharedFrame.Bytes is a refcounted frame's backing array, and a
+// frame from proto.Reader.ReadFrame (and the key proto.PeekGet finds
+// in it) is the Reader's buffer, overwritten by its next read. A caller
+// that mutates one corrupts the stored value or frame for every future
 // reader; a caller that stows one in a struct, global, map, or channel
-// lets it outlive the borrow (the frame is recycled on Release, the
-// entry buffer's immutability promise only covers the lending scope).
+// lets it outlive the borrow (the frame is recycled on Release or
+// reread, the entry buffer's immutability promise only covers the
+// lending scope). This is how the LB's GET forwarder is proven to copy
+// a frame (proto.CopyFrame) before its read loop reads the next one.
 package borrowedview
 
 import (
@@ -24,10 +28,11 @@ const (
 // Analyzer checks that borrowed view buffers neither escape nor mutate.
 var Analyzer = &analysis.Analyzer{
 	Name: "borrowedview",
-	Doc: `check that borrowed buffers from GetView/EncodeShared never escape or mutate
+	Doc: `check that borrowed buffers from GetView/EncodeShared/ReadFrame never escape or mutate
 
 Values returned by kv.Authority.GetView/GetViewAged (and lent to the
-GetViewAgedBatch callback) and by proto.SharedFrame.Bytes are borrowed:
+GetViewAgedBatch callback), by proto.SharedFrame.Bytes, by
+proto.Reader.ReadFrame and as proto.PeekGet's key are borrowed:
 they may flow into serve/flush calls within the scope, but must not be
 written through (index assignment, copy destination, append) and must
 not be stored into struct fields, package-level variables, map or slice
@@ -53,6 +58,8 @@ func run(pass *analysis.Pass) (interface{}, error) {
 //	value, ver, w, ok := auth.GetViewAged(key)     // value borrowed
 //	auth.GetViewAgedBatch(keys, func(i int, value []byte, ...) {...})
 //	b := frame.Bytes()                             // b borrowed
+//	frame, err := rd.ReadFrame()                   // frame borrowed
+//	key, id, ok := proto.PeekGet(frame)            // key borrowed
 func collectBorrowed(pass *analysis.Pass) map[*types.Var]string {
 	borrowed := make(map[*types.Var]string)
 	mark := func(expr ast.Expr, what string) {
@@ -86,6 +93,10 @@ func collectBorrowed(pass *analysis.Pass) map[*types.Var]string {
 					mark(n.Lhs[0], "Authority."+fn.Name())
 				case lintutil.IsMethod(fn, protoPkg, "SharedFrame", "Bytes"):
 					mark(n.Lhs[0], "SharedFrame.Bytes")
+				case lintutil.IsMethod(fn, protoPkg, "Reader", "ReadFrame"):
+					mark(n.Lhs[0], "Reader.ReadFrame")
+				case lintutil.IsPkgFunc(fn, protoPkg, "PeekGet"):
+					mark(n.Lhs[0], "PeekGet key")
 				}
 			case *ast.CallExpr:
 				fn := lintutil.Callee(pass.TypesInfo, n)

@@ -106,3 +106,51 @@ func batchServeGood(a *kv.Authority, conn net.Conn, keys []string) {
 		}
 	})
 }
+
+// A frame router must copy a read frame before its next read.
+
+func rewriteSeqInPlaceBad(r *proto.Reader) {
+	frame, err := r.ReadFrame()
+	if err != nil {
+		return
+	}
+	frame[5] = 0 // want "write into borrowed"
+}
+
+func queueFrameBad(r *proto.Reader, ch chan []byte) {
+	frame, err := r.ReadFrame()
+	if err == nil {
+		ch <- frame // want "sent on a channel"
+	}
+}
+
+func holdFrameBad(r *proto.Reader, h *holder) {
+	frame, _ := r.ReadFrame()
+	h.buf = frame // want "stored in a struct field"
+}
+
+func indexByPeekedKeyBad(r *proto.Reader, byKey map[int][]byte) {
+	frame, _ := r.ReadFrame()
+	key, _, ok := proto.PeekGet(frame)
+	if ok {
+		byKey[len(key)] = key // want "stored in a map or slice element"
+	}
+}
+
+func forwardCopyGood(r *proto.Reader, out chan *proto.SharedFrame) {
+	frame, err := r.ReadFrame()
+	if err != nil {
+		return
+	}
+	if _, _, ok := proto.PeekGet(frame); ok {
+		out <- proto.CopyFrame(frame, 7)
+	}
+}
+
+func decodeGood(r *proto.Reader, m *proto.Msg) error {
+	frame, err := r.ReadFrame()
+	if err != nil {
+		return err
+	}
+	return r.DecodeFrame(frame, m)
+}

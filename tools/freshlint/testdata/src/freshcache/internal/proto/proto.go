@@ -52,3 +52,13 @@ func (c *cursor) u8() (uint8, error)   { return 0, nil }
 func (c *cursor) u16() (uint16, error) { return 0, nil }
 func (c *cursor) u32() (uint32, error) { return 0, nil }
 func (c *cursor) u64() (uint64, error) { return 0, nil }
+
+// Reader decodes frames; ReadFrame lends the raw frame.
+type Reader struct{ buf []byte }
+
+func (r *Reader) ReadFrame() ([]byte, error)             { return r.buf, nil }
+func (r *Reader) DecodeFrame(frame []byte, m *Msg) error { return nil }
+
+func PeekGet(frame []byte) (key []byte, traceID uint64, ok bool) { return frame, 0, true }
+
+func CopyFrame(frame []byte, seq uint64) *SharedFrame { return &SharedFrame{} }
