@@ -34,29 +34,17 @@ func (s *Server) mgetResp(m *proto.Msg, tr *proto.SpanRec) *proto.Msg {
 	resp.Ops = ops
 
 	now := time.Now()
-	s.c.Gets.Add(uint64(len(keys)))
 	var (
 		missIdx   []int
 		missFound []bool
 	)
 	s.kv.GetBatch(keys, now, func(i int, e kv.Entry, found, fresh bool) {
-		s.noteRead(keys[i])
+		s.countRead(keys[i], &e, found, fresh, now)
 		if fresh {
-			s.c.Hits.Inc()
-			s.observeFreshServe(&e, now)
 			// Entry values are immutable once installed, so the borrow
 			// stays a stable snapshot through the encode.
 			resp.Ops[i] = proto.BatchOp{Kind: proto.BatchUpdate, Key: keys[i], Value: e.Value, Version: e.Version}
 			return
-		}
-		if found {
-			s.c.StaleMisses.Inc()
-			if !e.Stale && !e.ExpireAt.IsZero() && !now.Before(e.ExpireAt) {
-				// Not invalidated — the hard deadline alone cut it off.
-				s.c.DeadlineExpired.Inc()
-			}
-		} else {
-			s.c.ColdMisses.Inc()
 		}
 		missIdx = append(missIdx, i)
 		missFound = append(missFound, found)

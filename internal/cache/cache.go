@@ -452,23 +452,11 @@ func (s *Server) Get(key string) ([]byte, uint64, error) {
 // into this hop's record, so the client's hop tree shows where a miss
 // actually spent its time.
 func (s *Server) get(key string, tr *proto.SpanRec) ([]byte, uint64, error) {
-	s.c.Gets.Inc()
-	s.noteRead(key)
 	now := time.Now()
 	e, found, fresh := s.kv.Get(key, now)
+	s.countRead(key, &e, found, fresh, now)
 	if fresh {
-		s.c.Hits.Inc()
-		s.observeFreshServe(&e, now)
 		return e.Value, e.Version, nil
-	}
-	if found {
-		s.c.StaleMisses.Inc()
-		if !e.Stale && !e.ExpireAt.IsZero() && !now.Before(e.ExpireAt) {
-			// Not invalidated — the hard deadline alone cut it off.
-			s.c.DeadlineExpired.Inc()
-		}
-	} else {
-		s.c.ColdMisses.Inc()
 	}
 	value, version, err := s.fill(key, tr)
 	if err != nil {
@@ -545,6 +533,29 @@ func (s *Server) settleFill(key string, f *flight, value []byte, version uint64,
 	}
 	f.value, f.version, f.err = value, version, err
 	close(f.done)
+}
+
+// countRead is the bookkeeping of one key read, whichever path serves
+// it (get, a fresh hit on the read loop, an MGET member): gets, the read
+// count reported to the owning store, and either the hit with its
+// freshness telemetry or the miss with its cause. key must be safe to
+// retain.
+func (s *Server) countRead(key string, e *kv.Entry, found, fresh bool, now time.Time) {
+	s.c.Gets.Inc()
+	s.noteRead(key)
+	switch {
+	case fresh:
+		s.c.Hits.Inc()
+		s.observeFreshServe(e, now)
+	case found:
+		s.c.StaleMisses.Inc()
+		if !e.Stale && !e.ExpireAt.IsZero() && !now.Before(e.ExpireAt) {
+			// Not invalidated — the hard deadline alone cut it off.
+			s.c.DeadlineExpired.Inc()
+		}
+	default:
+		s.c.ColdMisses.Inc()
+	}
 }
 
 // observeFreshServe records freshness telemetry for a fresh hit: the
@@ -775,12 +786,15 @@ func (s *Server) applyBatch(m *proto.Msg) {
 // client connection; beyond it the read loop exerts backpressure.
 const maxConnInflight = 256
 
-// handleConn serves one client connection: a single read loop feeding
-// concurrent dispatchers (a miss fill or a forwarded PUT blocks on a
-// store round trip, and must not stall the pipelined requests queued
-// behind it) and a coalescing writer goroutine, so a burst of responses
-// costs one flush, not one syscall each. Responses may complete out of
-// order; each echoes its request's Seq for the client to demux.
+// handleConn serves one client connection: a single read loop and a
+// coalescing writer goroutine, so a burst of responses costs one flush,
+// not one syscall each. The read loop answers a GET whose key is
+// resident and fresh itself, straight from the frame (serveFresh).
+// Every other request — a GET that would miss, PUT, MGET, MPUT, Ping,
+// Stats — is decoded and handed to a dispatcher goroutine: a miss fill
+// or a forwarded PUT blocks on a store round trip, and must not stall
+// the pipelined requests queued behind it. Responses may complete out
+// of order; each echoes its request's Seq for the client to demux.
 func (s *Server) handleConn(ctx context.Context, conn net.Conn) {
 	defer s.wg.Done()
 	stop := context.AfterFunc(ctx, func() { conn.Close() })
@@ -797,21 +811,36 @@ func (s *Server) handleConn(ctx context.Context, conn net.Conn) {
 	sem := make(chan struct{}, maxConnInflight)
 
 	r := proto.NewReader(conn)
+	var err error
 	for {
+		var frame []byte
+		if frame, err = r.ReadFrame(); err != nil {
+			break
+		}
+		// key is borrowed from the Reader's buffer: it is used for the
+		// lookup only, never retained.
+		key, _, isGet := proto.PeekGet(frame)
+		_, seq, traced := proto.FrameHead(frame)
+		if isGet && !traced && s.serveFresh(key, seq, nil, out) {
+			continue
+		}
 		// Pooled request Msg: the dispatcher goroutine owns it and
 		// returns it to the pool when done.
 		m := proto.GetMsg()
-		if err := r.ReadMsgInto(m); err != nil {
+		if err = r.DecodeFrame(frame, m); err != nil {
 			proto.PutMsg(m)
-			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) && ctx.Err() == nil {
-				s.c.MalformedFrames.Inc()
-				s.cfg.Logger.Printf("cache %s: conn %s: %v", s.cfg.Name, conn.RemoteAddr(), err)
-			}
 			break
+		}
+		// A traced GET is decoded for its trace block, then takes the
+		// same fresh-hit path inside its span.
+		tr := proto.StartSpan(m, s.spanName)
+		if isGet && traced && s.serveFresh(key, seq, tr, out) {
+			proto.PutMsg(m)
+			continue
 		}
 		if m.Value != nil {
 			// The value aliases the reader's buffer, which the next
-			// ReadMsg overwrites while the dispatcher still runs. (Keys
+			// ReadFrame overwrites while the dispatcher still runs. (Keys
 			// are interned strings — immutable, safe to hold.)
 			m.Value = append([]byte(nil), m.Value...)
 		}
@@ -835,21 +864,42 @@ func (s *Server) handleConn(ctx context.Context, conn net.Conn) {
 		}
 		sem <- struct{}{}
 		dispatchers.Add(1)
-		go func(m *proto.Msg) {
+		go func(m *proto.Msg, tr *proto.SpanRec) {
 			defer func() {
 				<-sem
 				dispatchers.Done()
 			}()
-			tr := proto.StartSpan(m, s.spanName)
 			resp := s.dispatch(m, tr)
 			proto.PutMsg(m)
 			out <- proto.Outgoing{Msg: s.finishTrace(tr, resp), Pooled: true}
-		}(m)
+		}(m, tr)
+	}
+	if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) && ctx.Err() == nil {
+		s.c.MalformedFrames.Inc()
+		s.cfg.Logger.Printf("cache %s: conn %s: %v", s.cfg.Name, conn.RemoteAddr(), err)
 	}
 	dispatchers.Wait()
 	close(out)
 	<-writerDone
 	conn.Close()
+}
+
+// serveFresh answers a GET on the read loop if its key is resident and
+// fresh, and reports whether it did. key is looked up by its borrowed
+// bytes; the read is counted against the resident key string, so a hit
+// allocates nothing. Anything else is left to the dispatch path:
+// serveFresh never waits on a store.
+func (s *Server) serveFresh(key []byte, seq uint64, tr *proto.SpanRec, out chan<- proto.Outgoing) bool {
+	now := time.Now()
+	e, resident, found, fresh := s.kv.GetBytes(key, now)
+	if !fresh {
+		return false
+	}
+	s.countRead(resident, &e, found, fresh, now)
+	resp := proto.GetMsg()
+	resp.Type, resp.Seq, resp.Status, resp.Version, resp.Value = proto.MsgGetResp, seq, proto.StatusOK, e.Version, e.Value
+	out <- proto.Outgoing{Msg: s.finishTrace(tr, resp), Pooled: true}
+	return true
 }
 
 // finishTrace closes a traced request's hop span on its response and

@@ -90,15 +90,31 @@ func (c *Cache) shard(key string) *cacheShard {
 // Get returns a copy of the entry and whether it was fresh at now.
 // found reports residency (fresh or stale); fresh implies found.
 func (c *Cache) Get(key string, now time.Time) (e Entry, found, fresh bool) {
-	s := c.shard(key)
+	e, _, found, fresh = lookup(c, key, now)
+	return e, found, fresh
+}
+
+// GetBytes is Get keyed by borrowed bytes, such as a key peeked from a
+// request frame: key is neither retained nor copied. It also returns the
+// resident key string (empty when not found), which the caller may keep —
+// a serve path keyed by frame bytes records the read against it without
+// allocating.
+func (c *Cache) GetBytes(key []byte, now time.Time) (e Entry, resident string, found, fresh bool) {
+	return lookup(c, key, now)
+}
+
+// lookup is the one lookup body behind Get and GetBytes. Indexing the
+// map with string(key) does not allocate for a []byte key.
+func lookup[K ~string | ~[]byte](c *Cache, key K, now time.Time) (Entry, string, bool, bool) {
+	s := &c.shards[sketch.Hash(key)&(numShards-1)]
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	n := s.m[key]
+	n := s.m[string(key)]
 	if n == nil {
-		return Entry{}, false, false
+		return Entry{}, "", false, false
 	}
 	s.touch(n)
-	return n.e, true, n.e.fresh(now)
+	return n.e, n.key, true, n.e.fresh(now)
 }
 
 // GetBatch looks up every key in one pass over the shard set: keys are

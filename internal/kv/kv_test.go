@@ -2,9 +2,11 @@ package kv
 
 import (
 	"fmt"
+	"math/rand/v2"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 var t0 = time.Unix(1000, 0)
@@ -197,6 +199,81 @@ func TestCacheLRUOrderWithinShard(t *testing.T) {
 	// present most of the time. Deterministically verify by re-inserting.
 	if _, found, _ := c.Get("hot", t0); !found {
 		t.Skip("hot key shares a shard with colliding cold keys (hash-dependent)")
+	}
+}
+
+// GetBytes is Get keyed by borrowed bytes: it returns the same entries,
+// touches the LRU the same way (so a scripted mix of puts and reads
+// evicts the same keys), and hands back the resident key string rather
+// than a copy of the caller's bytes.
+func TestCacheGetBytesMatchesGet(t *testing.T) {
+	byString, byBytes := NewCache(4*numShards), NewCache(4*numShards)
+	rng := rand.New(rand.NewPCG(1, 2))
+	key := func() string { return fmt.Sprintf("key-%d", rng.IntN(1024)) }
+	for i := 0; i < 20000; i++ {
+		k := key()
+		if rng.IntN(3) == 0 {
+			e := Entry{Value: []byte(k), Version: uint64(i + 1), FreshAt: t0}
+			byString.Put(k, e)
+			byBytes.Put(k, e)
+			continue
+		}
+		if rng.IntN(8) == 0 {
+			byString.Invalidate(k)
+			byBytes.Invalidate(k)
+		}
+		buf := []byte(k)
+		e1, found1, fresh1 := byString.Get(k, t0)
+		e2, resident, found2, fresh2 := byBytes.GetBytes(buf, t0)
+		if found1 != found2 || fresh1 != fresh2 || e1.Version != e2.Version || string(e1.Value) != string(e2.Value) {
+			t.Fatalf("op %d %q: Get = %+v %v %v, GetBytes = %+v %v %v", i, k, e1, found1, fresh1, e2, found2, fresh2)
+		}
+		if found2 != (resident != "") {
+			t.Fatalf("op %d %q: found=%v with resident key %q", i, k, found2, resident)
+		}
+		copy(buf, "XXXX") // the resident key must not alias the caller's bytes
+		if found2 && resident != k {
+			t.Fatalf("op %d: resident key %q, want %q", i, resident, k)
+		}
+	}
+	for i := 0; i < 1024; i++ {
+		k := fmt.Sprintf("key-%d", i)
+		_, found1, _ := byString.Get(k, t0)
+		_, _, found2, _ := byBytes.GetBytes([]byte(k), t0)
+		if found1 != found2 {
+			t.Errorf("%s: resident after Get script = %v, after GetBytes script = %v", k, found1, found2)
+		}
+	}
+	if byString.Evictions() == 0 || byString.Evictions() != byBytes.Evictions() {
+		t.Errorf("evictions: Get script %d, GetBytes script %d", byString.Evictions(), byBytes.Evictions())
+	}
+
+	// The resident key is the string the entry was stored under.
+	c := NewCache(0)
+	k := fmt.Sprintf("stored-%d", 7)
+	c.Put(k, Entry{Version: 1})
+	if _, resident, _, _ := c.GetBytes([]byte(k), t0); unsafe.StringData(resident) != unsafe.StringData(k) {
+		t.Error("GetBytes returned a copy, not the resident key string")
+	}
+}
+
+func TestCacheGetBytesAllocs(t *testing.T) {
+	c := NewCache(0)
+	c.Put("resident-key", Entry{Value: []byte("v"), Version: 1})
+	hit, miss := []byte("resident-key"), []byte("absent-key-longer-than-the-32-byte-stack-buffer")
+	for _, tc := range []struct {
+		name string
+		key  []byte
+		want bool
+	}{{"hit", hit, true}, {"miss", miss, false}} {
+		allocs := testing.AllocsPerRun(1000, func() {
+			if _, _, found, _ := c.GetBytes(tc.key, t0); found != tc.want {
+				t.Fatalf("%s: found = %v", tc.name, found)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("GetBytes %s: %.1f allocs/op, want 0", tc.name, allocs)
+		}
 	}
 }
 
