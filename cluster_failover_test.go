@@ -5,12 +5,11 @@ import (
 	"io"
 	"log"
 	"net"
-	"strconv"
-	"sync"
 	"testing"
 	"time"
 
 	"freshcache"
+	"freshcache/internal/oracle"
 )
 
 // failoverCluster is a replicated coordinator-managed deployment:
@@ -154,110 +153,11 @@ func TestFailoverUnderLoad(t *testing.T) {
 	)
 	cl := startFailoverCluster(t, T, lease, 3, 2, 2)
 
-	keys := make([]string, nkeys)
-	for i := range keys {
-		keys[i] = fmt.Sprintf("key-%03d", i)
+	load, err := oracle.Start(oracle.Config{Addr: cl.lbAddr, Keys: nkeys, Readers: 4, Bound: crashBound + grace})
+	if err != nil {
+		t.Fatal(err)
 	}
-	tr := &truth{acks: make(map[string][]ackedWrite)}
-
-	seed := freshcache.NewClient(cl.lbAddr, freshcache.ClientOptions{})
-	for _, key := range keys {
-		if _, err := seed.Put(key, []byte("0")); err != nil {
-			t.Fatal(err)
-		}
-		tr.recordAck(key, 0)
-	}
-	seed.Close()
-
-	var (
-		loadWG   sync.WaitGroup
-		stop     = make(chan struct{})
-		mu       sync.Mutex
-		firstBad error     // staleness violation or junk read
-		lastErr  time.Time // when the most recent request error happened
-		reads    int64     // validated reads
-		errs     int64     // transient request errors
-		lastSeq  atomic1   // writer's acknowledged-sequence high-water
-	)
-	noteErr := func() {
-		mu.Lock()
-		lastErr = time.Now()
-		errs++
-		mu.Unlock()
-	}
-	fail := func(err error) {
-		mu.Lock()
-		if firstBad == nil {
-			firstBad = err
-		}
-		mu.Unlock()
-	}
-
-	// One writer, round-robin; request errors are transient by design
-	// (the key's owner may be mid-crash), so they are recorded rather
-	// than fatal, and only acknowledged writes enter the truth map.
-	loadWG.Add(1)
-	go func() {
-		defer loadWG.Done()
-		c := freshcache.NewClient(cl.lbAddr, freshcache.ClientOptions{})
-		defer c.Close()
-		seq := uint64(0)
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			seq++
-			key := keys[i%len(keys)]
-			if _, err := c.Put(key, []byte(strconv.FormatUint(seq, 10))); err != nil {
-				noteErr()
-			} else {
-				tr.recordAck(key, seq)
-				lastSeq.store(key, seq)
-			}
-			time.Sleep(2 * time.Millisecond)
-		}
-	}()
-
-	// Readers: a failed read is transient; a read that parses must be
-	// within the crash bound of the truth map.
-	for w := 0; w < 4; w++ {
-		loadWG.Add(1)
-		go func(w int) {
-			defer loadWG.Done()
-			c := freshcache.NewClient(cl.lbAddr, freshcache.ClientOptions{})
-			defer c.Close()
-			for i := w; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				key := keys[i%len(keys)]
-				t0 := time.Now()
-				v, _, err := c.Get(key)
-				if err != nil {
-					noteErr()
-					time.Sleep(5 * time.Millisecond)
-					continue
-				}
-				seq, perr := strconv.ParseUint(string(v), 10, 64)
-				if perr != nil {
-					fail(fmt.Errorf("get %q returned junk %q", key, v))
-					return
-				}
-				if d := tr.staleBy(key, seq, t0, crashBound+grace); d > 0 {
-					fail(fmt.Errorf("read of %q observed seq %d, staler than the crash bound by %v", key, seq, d))
-					return
-				}
-				mu.Lock()
-				reads++
-				mu.Unlock()
-				time.Sleep(time.Millisecond)
-			}
-		}(w)
-	}
+	t.Cleanup(func() { load.Stop() })
 
 	// Let the cluster settle under load (replica syncs complete fast;
 	// every acked write is on its replica by construction), then kill
@@ -310,70 +210,28 @@ func TestFailoverUnderLoad(t *testing.T) {
 
 	// Serve well past the failover, then stop the load.
 	time.Sleep(4 * T)
-	close(stop)
-	loadWG.Wait()
-	if firstBad != nil {
-		t.Fatalf("load failed across the failover: %v", firstBad)
+	res := load.Stop()
+	if res.Violations > 0 {
+		t.Fatalf("load failed across the failover: %d violations (first: %v)", res.Violations, res.FirstViolation)
 	}
-
-	mu.Lock()
-	totalReads, totalErrs, lastErrAt := reads, errs, lastErr
-	mu.Unlock()
-	if totalReads < 100 {
-		t.Fatalf("only %d validated reads; load never ran", totalReads)
+	if res.Reads < 100 {
+		t.Fatalf("only %d validated reads; load never ran", res.Reads)
 	}
 	// Errors are transient: none after the routers settled on the new
 	// ring. (Allow the settle window: promotion + watcher tick + one
 	// in-flight request timeout's worth of slack.)
 	settle := promotedAt.Add(time.Second)
-	if !lastErrAt.IsZero() && lastErrAt.After(settle) {
+	if res.LastError.After(settle) {
 		t.Errorf("request errors continued %v past promotion (last at %v, settle %v)",
-			lastErrAt.Sub(promotedAt), lastErrAt, settle)
+			res.LastError.Sub(promotedAt), res.LastError, settle)
 	}
 	t.Logf("failover: promotion %v after kill, %d validated reads, %d transient errors",
-		promotedAt.Sub(killAt), totalReads, totalErrs)
+		promotedAt.Sub(killAt), res.Reads, res.Errors)
 
 	// No acknowledged write lost: after quiescing past the staleness
-	// window, every key reads back at least its last acknowledged
-	// sequence number.
+	// window, every key reads back at least its last acknowledged write.
 	time.Sleep(crashBound + grace)
-	c := freshcache.NewClient(cl.lbAddr, freshcache.ClientOptions{})
-	defer c.Close()
-	for _, key := range keys {
-		v, _, err := c.Get(key)
-		if err != nil {
-			t.Fatalf("post-failover get %q: %v", key, err)
-		}
-		got, perr := strconv.ParseUint(string(v), 10, 64)
-		if perr != nil {
-			t.Fatalf("post-failover get %q returned junk %q", key, v)
-		}
-		if want := lastSeq.load(key); got < want {
-			t.Errorf("key %q lost an acknowledged write: reads seq %d, acked up to %d", key, got, want)
-		}
+	if lost, err := load.Audit(); lost > 0 {
+		t.Errorf("%d keys lost an acknowledged write (first: %v)", lost, err)
 	}
-}
-
-// atomic1 is a tiny keyed high-water map for the writer's acked
-// sequence numbers.
-type atomic1 struct {
-	mu sync.Mutex
-	m  map[string]uint64
-}
-
-func (a *atomic1) store(key string, seq uint64) {
-	a.mu.Lock()
-	if a.m == nil {
-		a.m = make(map[string]uint64)
-	}
-	if seq > a.m[key] {
-		a.m[key] = seq
-	}
-	a.mu.Unlock()
-}
-
-func (a *atomic1) load(key string) uint64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.m[key]
 }

@@ -5,12 +5,11 @@ import (
 	"io"
 	"log"
 	"net"
-	"strconv"
-	"sync"
 	"testing"
 	"time"
 
 	"freshcache"
+	"freshcache/internal/oracle"
 )
 
 // reshardCluster is a live coordinator-managed deployment: N stores,
@@ -120,45 +119,6 @@ func startReshardCluster(t *testing.T, T time.Duration, nStores, nCaches int) *r
 	return cl
 }
 
-// truth tracks, per key, the writes the load generator has had
-// acknowledged, so readers can detect staleness beyond the bound.
-type truth struct {
-	mu   sync.Mutex
-	acks map[string][]ackedWrite // oldest first, pruned
-}
-
-type ackedWrite struct {
-	seq uint64
-	at  time.Time
-}
-
-func (tr *truth) recordAck(key string, seq uint64) {
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	a := append(tr.acks[key], ackedWrite{seq: seq, at: time.Now()})
-	if len(a) > 16 {
-		a = a[len(a)-16:]
-	}
-	tr.acks[key] = a
-}
-
-// staleBy returns how far past the bound a read is: it observed seq at
-// readStart although a strictly newer write was acknowledged more than
-// bound before the read began. Zero means the read is within bound.
-func (tr *truth) staleBy(key string, seq uint64, readStart time.Time, bound time.Duration) time.Duration {
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	worst := time.Duration(0)
-	for _, a := range tr.acks[key] {
-		if a.seq > seq {
-			if d := readStart.Sub(a.at) - bound; d > worst {
-				worst = d
-			}
-		}
-	}
-	return worst
-}
-
 // TestLiveReshardUnderLoad is the acceptance test of dynamic
 // membership: a third store joins a live 2-store/2-cache/1-LB cluster
 // under concurrent read/write load. Only the moved key fraction
@@ -179,103 +139,11 @@ func TestLiveReshardUnderLoad(t *testing.T) {
 	)
 	cl := startReshardCluster(t, T, 2, 2)
 
-	keys := make([]string, nkeys)
-	for i := range keys {
-		keys[i] = fmt.Sprintf("key-%03d", i)
+	load, err := oracle.Start(oracle.Config{Addr: cl.lbAddr, Keys: nkeys, Readers: 4, Bound: T + grace})
+	if err != nil {
+		t.Fatal(err)
 	}
-	tr := &truth{acks: make(map[string][]ackedWrite)}
-
-	seed := freshcache.NewClient(cl.lbAddr, freshcache.ClientOptions{})
-	for i, key := range keys {
-		if _, err := seed.Put(key, []byte("0")); err != nil {
-			t.Fatal(err)
-		}
-		tr.recordAck(key, 0)
-		_ = i
-	}
-	seed.Close()
-
-	var (
-		loadWG   sync.WaitGroup
-		stop     = make(chan struct{})
-		violMu   sync.Mutex
-		firstErr error
-		worst    time.Duration
-		reads    int64
-	)
-	fail := func(err error) {
-		violMu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		violMu.Unlock()
-	}
-
-	// One writer: round-robin over the keys, value = write sequence.
-	loadWG.Add(1)
-	go func() {
-		defer loadWG.Done()
-		c := freshcache.NewClient(cl.lbAddr, freshcache.ClientOptions{})
-		defer c.Close()
-		seq := uint64(0)
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			seq++
-			key := keys[i%len(keys)]
-			if _, err := c.Put(key, []byte(strconv.FormatUint(seq, 10))); err != nil {
-				fail(fmt.Errorf("put %q: %w", key, err))
-				return
-			}
-			tr.recordAck(key, seq)
-			time.Sleep(2 * time.Millisecond)
-		}
-	}()
-
-	// Readers: validate every read against the truth map.
-	for w := 0; w < 4; w++ {
-		loadWG.Add(1)
-		go func(w int) {
-			defer loadWG.Done()
-			c := freshcache.NewClient(cl.lbAddr, freshcache.ClientOptions{})
-			defer c.Close()
-			for i := w; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				key := keys[i%len(keys)]
-				t0 := time.Now()
-				v, _, err := c.Get(key)
-				if err != nil {
-					fail(fmt.Errorf("get %q: %w", key, err))
-					return
-				}
-				seq, err := strconv.ParseUint(string(v), 10, 64)
-				if err != nil {
-					fail(fmt.Errorf("get %q returned junk %q", key, v))
-					return
-				}
-				if d := tr.staleBy(key, seq, t0, T+grace); d > 0 {
-					violMu.Lock()
-					if d > worst {
-						worst = d
-					}
-					violMu.Unlock()
-					fail(fmt.Errorf("read of %q observed seq %d, staler than bound by %v", key, seq, d))
-					return
-				}
-				violMu.Lock()
-				reads++
-				violMu.Unlock()
-				time.Sleep(time.Millisecond)
-			}
-		}(w)
-	}
+	t.Cleanup(func() { load.Stop() })
 
 	// Let the cluster serve under load for a bit, then join the third
 	// store through the coordinator's wire protocol, mid-traffic.
@@ -313,22 +181,20 @@ func TestLiveReshardUnderLoad(t *testing.T) {
 
 	// Serve across the handoff and past the deadline window.
 	time.Sleep(3 * T)
-	close(stop)
-	loadWG.Wait()
-	if firstErr != nil {
-		t.Fatalf("load failed across the handoff (worst staleness overshoot %v): %v", worst, firstErr)
+	res := load.Stop()
+	if res.Errors > 0 || res.Violations > 0 {
+		t.Fatalf("load failed across the handoff: %d errors, %d violations (first: %v)",
+			res.Errors, res.Violations, res.FirstViolation)
 	}
-	violMu.Lock()
-	totalReads := reads
-	violMu.Unlock()
-	if totalReads < 100 {
-		t.Fatalf("only %d validated reads; load never ran", totalReads)
+	if res.Reads < 100 {
+		t.Fatalf("only %d validated reads; load never ran", res.Reads)
 	}
 
 	// Only the moved fraction migrates: the joiner holds exactly the
 	// keys the new ring assigns to it, and that is within 2x of the
 	// ideal 1/3 share.
 	newRing := cl.caches[0].Ring()
+	keys := load.Keys()
 	moved := 0
 	for _, key := range keys {
 		if oldRing.OwnerAddr(key) != newRing.OwnerAddr(key) {

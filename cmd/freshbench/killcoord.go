@@ -1,48 +1,42 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"log"
 	"net"
 	"os"
-	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"freshcache"
+	"freshcache/internal/oracle"
 )
 
 // coordFailoverReport is the machine-readable record of a
 // kill-the-coordinator-leader run, alongside BENCH_failover.json.
 type coordFailoverReport struct {
-	Benchmark     string           `json:"benchmark"`
-	Generated     string           `json:"generated"`
-	TBoundMS      float64          `json:"t_bound_ms"`
-	CrashBoundMS  float64          `json:"crash_bound_ms"`
-	LeaderLeaseMS float64          `json:"leader_lease_ms"`
-	StoreLeaseMS  float64          `json:"store_lease_ms"`
-	Coordinators  int              `json:"coordinators"`
-	Replicas      int              `json:"replicas"`
-	Workers       int              `json:"workers"`
-	Keys          int              `json:"keys"`
-	DurationS     float64          `json:"duration_s"`
-	KillLeaderAtS float64          `json:"kill_leader_at_s"`
-	NewLeaderAtS  float64          `json:"new_leader_at_s"`
-	LeaderGapMS   float64          `json:"leader_gap_ms"`
-	KillStoreAtS  float64          `json:"kill_store_at_s"`
-	PromotedAtS   float64          `json:"promoted_at_s"`
-	PreCrashEpoch uint64           `json:"pre_crash_epoch"`
-	RestoredEpoch uint64           `json:"restored_epoch"`
-	RejoinedEpoch uint64           `json:"rejoined_epoch"`
-	LostWrites    int              `json:"lost_writes"`
-	TotalReads    int              `json:"total_reads"`
-	TotalWrites   int              `json:"total_writes"`
-	TotalErrors   int              `json:"total_errors"`
-	Violations    int              `json:"violations"`
-	Buckets       []failoverBucket `json:"buckets"`
+	Benchmark     string  `json:"benchmark"`
+	Generated     string  `json:"generated"`
+	TBoundMS      float64 `json:"t_bound_ms"`
+	CrashBoundMS  float64 `json:"crash_bound_ms"`
+	LeaderLeaseMS float64 `json:"leader_lease_ms"`
+	StoreLeaseMS  float64 `json:"store_lease_ms"`
+	Coordinators  int     `json:"coordinators"`
+	Replicas      int     `json:"replicas"`
+	Workers       int     `json:"workers"`
+	Keys          int     `json:"keys"`
+	DurationS     float64 `json:"duration_s"`
+	KillLeaderAtS float64 `json:"kill_leader_at_s"`
+	NewLeaderAtS  float64 `json:"new_leader_at_s"`
+	LeaderGapMS   float64 `json:"leader_gap_ms"`
+	KillStoreAtS  float64 `json:"kill_store_at_s"`
+	PromotedAtS   float64 `json:"promoted_at_s"`
+	PreCrashEpoch uint64  `json:"pre_crash_epoch"`
+	RestoredEpoch uint64  `json:"restored_epoch"`
+	RejoinedEpoch uint64  `json:"rejoined_epoch"`
+	LostWrites    int     `json:"lost_writes"`
+	loadTotals
 }
 
 // coordFailoverBench boots a 3-coordinator replicated control plane
@@ -67,14 +61,6 @@ func coordFailoverBench(workers int, benchtime time.Duration, tBound float64, js
 		benchtime = 6 * T
 	}
 	quiet := log.New(io.Discard, "", 0)
-
-	listen := func() (net.Listener, string, error) {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return nil, "", err
-		}
-		return ln, ln.Addr().String(), nil
-	}
 
 	// Store listeners first (the initial ring needs the addresses), then
 	// the coordinator group (whose peer list needs ITS addresses before
@@ -191,107 +177,14 @@ func coordFailoverBench(workers int, benchtime time.Duration, tBound float64, js
 	go balancer.Serve(lbLn) //nolint:errcheck
 	defer balancer.Close()
 
-	// Preload and truth-track every key.
 	const nkeys = 256
-	keys := make([]string, nkeys)
-	tru := newBenchTruth()
-	seed := freshcache.NewClient(lbAddr, freshcache.ClientOptions{})
-	for i := range keys {
-		keys[i] = fmt.Sprintf("key-%04d", i)
-		if _, err := seed.Put(keys[i], []byte("0")); err != nil {
-			seed.Close()
-			return fmt.Errorf("preload: %w", err)
-		}
-		tru.recordAck(keys[i], 0)
+	// Load through the LB; request errors while a store is down are
+	// expected and counted.
+	load, err := oracle.Start(oracle.Config{Addr: lbAddr, Keys: nkeys, Readers: workers, Bound: crashBound})
+	if err != nil {
+		return err
 	}
-	seed.Close()
-
-	nBuckets := int(benchtime/failoverBucketWidth) + 2
-	var (
-		mu      sync.Mutex
-		buckets = make([]failoverBucket, nBuckets)
-		acked   = make(map[string]uint64, nkeys)
-		stop    = make(chan struct{})
-		wg      sync.WaitGroup
-	)
-	start := time.Now()
-	record := func(at time.Time, isWrite, isErr bool, staleOver time.Duration) {
-		i := int(at.Sub(start) / failoverBucketWidth)
-		if i < 0 || i >= nBuckets {
-			return
-		}
-		mu.Lock()
-		b := &buckets[i]
-		switch {
-		case isErr:
-			b.Errors++
-		case isWrite:
-			b.Writes++
-		default:
-			b.Reads++
-			if staleOver > 0 {
-				b.Violations++
-			}
-		}
-		mu.Unlock()
-	}
-
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		c := freshcache.NewClient(lbAddr, freshcache.ClientOptions{})
-		defer c.Close()
-		seq := uint64(0)
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			seq++
-			key := keys[i%len(keys)]
-			_, err := c.Put(key, []byte(strconv.FormatUint(seq, 10)))
-			record(time.Now(), true, err != nil, 0)
-			if err == nil {
-				tru.recordAck(key, seq)
-				mu.Lock()
-				if seq > acked[key] {
-					acked[key] = seq
-				}
-				mu.Unlock()
-			}
-			time.Sleep(time.Millisecond)
-		}
-	}()
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			c := freshcache.NewClient(lbAddr, freshcache.ClientOptions{})
-			defer c.Close()
-			for i := w; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				key := keys[i%len(keys)]
-				t0 := time.Now()
-				v, _, err := c.Get(key)
-				if err != nil {
-					record(t0, false, true, 0)
-					time.Sleep(2 * time.Millisecond)
-					continue
-				}
-				seq, perr := strconv.ParseUint(string(v), 10, 64)
-				if perr != nil {
-					record(t0, false, true, 0)
-					continue
-				}
-				record(t0, false, false, tru.staleBy(key, seq, t0, crashBound))
-			}
-		}(w)
-	}
+	start := load.Started()
 
 	// ---- Phase 1 (at 1/3): kill the coordinator LEADER. ----
 	third := benchtime / 3
@@ -335,28 +228,9 @@ func coordFailoverBench(workers int, benchtime time.Duration, tBound float64, js
 	if rest := benchtime - time.Since(start); rest > 0 {
 		time.Sleep(rest)
 	}
-	close(stop)
-	wg.Wait()
-
-	// Lost-write audit past the crash bound.
+	res := load.Stop()
 	time.Sleep(crashBound)
-	lost := 0
-	audit := freshcache.NewClient(lbAddr, freshcache.ClientOptions{})
-	for _, key := range keys {
-		v, _, err := audit.Get(key)
-		if err != nil {
-			lost++
-			continue
-		}
-		got, perr := strconv.ParseUint(string(v), 10, 64)
-		mu.Lock()
-		want := acked[key]
-		mu.Unlock()
-		if perr != nil || got < want {
-			lost++
-		}
-	}
-	audit.Close()
+	lost, lostErr := load.Audit()
 
 	// ---- Phase 3: restart the killed coordinator from its data
 	// directory. Its restored ring epoch must already be at (or past —
@@ -426,26 +300,9 @@ func coordFailoverBench(workers int, benchtime time.Duration, tBound float64, js
 		RestoredEpoch: restoredEpoch,
 		RejoinedEpoch: rejoined,
 		LostWrites:    lost,
+		loadTotals:    newLoadTotals(res),
 	}
-	for i := range buckets {
-		b := buckets[i]
-		if b.Reads+b.Writes+b.Errors == 0 {
-			continue
-		}
-		b.TSec = float64(i) * failoverBucketWidth.Seconds()
-		report.Buckets = append(report.Buckets, b)
-		report.TotalReads += b.Reads
-		report.TotalWrites += b.Writes
-		report.TotalErrors += b.Errors
-		report.Violations += b.Violations
-	}
-
-	w := tw()
-	fmt.Fprintln(w, "t (s)\treads\twrites\terrors\tstale>2T")
-	for _, b := range report.Buckets {
-		fmt.Fprintf(w, "%.1f\t%d\t%d\t%d\t%d\n", b.TSec, b.Reads, b.Writes, b.Errors, b.Violations)
-	}
-	if err := w.Flush(); err != nil {
+	if err := report.printTrajectory("2T"); err != nil {
 		return err
 	}
 	fmt.Printf("killed leader at %.2fs, new leader at %.2fs (gap %.0fms, leader lease %.0fms)\n",
@@ -458,22 +315,15 @@ func coordFailoverBench(workers int, benchtime time.Duration, tBound float64, js
 	fmt.Printf("totals: %d reads, %d writes, %d errors, %d reads staler than 2T, %d lost writes\n",
 		report.TotalReads, report.TotalWrites, report.TotalErrors, report.Violations, report.LostWrites)
 	if report.Violations > 0 || report.LostWrites > 0 {
-		return fmt.Errorf("coordinator failover broke the guarantee: %d staleness violations, %d lost writes",
-			report.Violations, report.LostWrites)
+		return fmt.Errorf("coordinator failover broke the guarantee: %d staleness violations (first: %v), %d lost writes (first: %v)",
+			report.Violations, res.FirstViolation, report.LostWrites, lostErr)
 	}
 	if leaderGap > 4*leaderLease {
 		return fmt.Errorf("leader failover took %v, want within ~%v", leaderGap, 4*leaderLease)
 	}
 
 	if jsonPath != "" {
-		blob, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(jsonPath, append(blob, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", jsonPath)
+		return writeReport(jsonPath, report)
 	}
 	return nil
 }

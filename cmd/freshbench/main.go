@@ -15,7 +15,6 @@
 //	sec31    the §3.1 worked example
 //	ablate   batching-interval, decision-rule and cache-knowledge ablations
 //	live     boot a real store+cache cluster and validate bounded staleness
-//	pipeline measure the pipelined vs pooled transport on a live store
 //	hotpath  measure the zero-allocation hot path on a live store:
 //	         throughput, latency percentiles, and whole-process
 //	         allocs/op, compared against the committed
@@ -30,7 +29,7 @@
 //	         plane, kill its LEADER mid-run (then a store, then restart
 //	         the killed coordinator from disk) and record the whole
 //	         trajectory
-//	all      everything above (except pipeline, reshard and failover)
+//	all      everything above (except hotpath, reshard and failover)
 //
 // Flags:
 //
@@ -38,13 +37,14 @@
 //	-seed uint          workload seed (default 1)
 //	-t float            staleness bound for fig5/fig6/live (default 0.5)
 //	-stores int         store shards booted by live (default 1)
-//	-workers int        concurrent workers for pipeline/reshard/failover (default 64)
-//	-benchtime duration wall-clock window for pipeline/reshard/failover (default 2s / 4s / 4s)
-//	-json               pipeline/reshard/failover: also write BENCH_<name>.json
+//	-workers int        concurrent workers for hotpath/reshard/failover (default 64)
+//	-benchtime duration wall-clock window for hotpath/reshard/failover (default 2s / 4s / 4s)
+//	-json               hotpath/reshard/failover: also write BENCH_<name>.json
 //	-killcoord          failover: kill the coordinator leader (HA control plane)
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"net"
@@ -55,6 +55,7 @@ import (
 
 	"freshcache"
 	"freshcache/internal/experiments"
+	"freshcache/internal/oracle"
 	"freshcache/internal/sysprobe"
 	"freshcache/internal/xrand"
 )
@@ -70,26 +71,15 @@ func main() {
 	seed := fs.Uint64("seed", 1, "workload seed")
 	tBound := fs.Float64("t", 0.5, "staleness bound (s) for fig5/fig6/live")
 	storesN := fs.Int("stores", 1, "store shards booted by the live experiment")
-	workers := fs.Int("workers", 64, "concurrent workers for the pipeline experiment")
-	benchtime := fs.Duration("benchtime", 0, "wall-clock window for pipeline (default 2s) / reshard (default 4s)")
-	jsonOut := fs.Bool("json", false, "pipeline/hotpath: also write BENCH_<name>.json")
+	workers := fs.Int("workers", 64, "concurrent workers for hotpath/reshard/failover")
+	benchtime := fs.Duration("benchtime", 0, "wall-clock window for hotpath (default 2s) / reshard (default 4s) / failover (default 4s, 6s with -killcoord)")
+	jsonOut := fs.Bool("json", false, "hotpath/reshard/failover: also write BENCH_<name>.json")
 	batch := fs.Int("batch", 0, "hotpath: keys per MGET frame (0 = sweep 1,8,32)")
 	killcoord := fs.Bool("killcoord", false, "failover: kill the coordinator LEADER of a 3-coordinator control plane instead of a store only")
 	fs.Parse(os.Args[2:]) //nolint:errcheck // ExitOnError
 
 	o := experiments.Options{Duration: *duration, Seed: *seed, T: *tBound}
 	live := func(o experiments.Options) error { return liveCluster(o, *storesN) }
-	pipeline := func(experiments.Options) error {
-		out := ""
-		if *jsonOut {
-			out = "BENCH_pipeline.json"
-		}
-		bt := *benchtime
-		if bt == 0 {
-			bt = 2 * time.Second
-		}
-		return pipelineBench(*workers, bt, out)
-	}
 	hotpath := func(experiments.Options) error {
 		out := ""
 		if *jsonOut {
@@ -161,8 +151,6 @@ func main() {
 		run("Ablations", ablate)
 	case "live":
 		run("Live cluster validation", live)
-	case "pipeline":
-		run("Pipelined vs pooled transport", pipeline)
 	case "hotpath":
 		run("Zero-allocation hot path", hotpath)
 	case "reshard":
@@ -191,7 +179,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage: freshbench <fig2|fig3|fig5|fig6|table1|sec31|ablate|live|pipeline|hotpath|reshard|failover|probe|all> [flags]
+	fmt.Fprintln(os.Stderr, `usage: freshbench <fig2|fig3|fig5|fig6|table1|sec31|ablate|live|hotpath|reshard|failover|probe|all> [flags]
 run "freshbench <experiment> -h" for flags`)
 }
 
@@ -345,41 +333,36 @@ func liveCluster(o experiments.Options, nStores int) error {
 	c := freshcache.NewClient(cln.Addr().String(), freshcache.ClientOptions{})
 	defer c.Close()
 
-	// Drive a skewed read/write mix for a few seconds; track per-key
-	// last-acknowledged writes older than T and verify reads see them.
+	// Drive a skewed read/write mix for a few seconds and judge every
+	// read against the acknowledged writes, allowing T for batching plus
+	// 50% delivery slack.
 	rng := xrand.New(o.Seed, 9)
 	zipf := xrand.NewZipf(rng, 1.2, 256)
-	type lastWrite struct {
-		value string
-		at    time.Time
-	}
-	writes := map[int]lastWrite{}
+	check := oracle.NewChecker(T + T/2)
 	var reads, staleViolations, writesDone int
 	deadline := time.Now().Add(3 * time.Second)
-	seqn := 0
+	seqn := uint64(0)
 	for time.Now().Before(deadline) {
-		k := zipf.Sample()
-		key := fmt.Sprintf("key-%03d", k)
+		key := fmt.Sprintf("key-%03d", zipf.Sample())
 		if rng.Bool(0.2) {
 			seqn++
-			val := fmt.Sprintf("v%06d", seqn)
-			if _, err := c.Put(key, []byte(val)); err != nil {
+			ver, err := c.Put(key, oracle.Value(seqn))
+			if err != nil {
 				return fmt.Errorf("put: %w", err)
 			}
-			writes[k] = lastWrite{value: val, at: time.Now()}
+			check.Ack(key, seqn, ver, time.Now())
 			writesDone++
 		} else {
-			v, _, err := c.Get(key)
+			t0 := time.Now()
+			v, ver, err := c.Get(key)
+			if errors.Is(err, freshcache.ErrNotFound) {
+				continue
+			}
 			if err != nil {
-				if err == freshcache.ErrNotFound || writes[k].value == "" {
-					continue
-				}
 				return fmt.Errorf("get: %w", err)
 			}
 			reads++
-			lw := writes[k]
-			// Allow T for batching plus 50% delivery slack.
-			if lw.value != "" && time.Since(lw.at) > T+T/2 && string(v) != lw.value {
+			if !check.Check(key, v, ver, t0).OK() {
 				staleViolations++
 			}
 		}

@@ -13,14 +13,16 @@
 // shard owning each key via the consistent-hash ring — the same routing
 // the caches and the LB use — while reads keep exercising -addr.
 //
-// Workers share the client's multiplexed pipelined transport by default;
-// -pooled selects the seed-style one-request-per-connection transport
-// for before/after comparison, and -conns overrides the connection count
-// of either.
+// Workers share the client's multiplexed pipelined transport; -conns
+// overrides its connection count.
 //
-// The staleness check: every write's value encodes its wall-clock issue
-// time; a read that returns a value older than the latest write known to
-// be more than T+slack old counts as a violation.
+// The staleness check (internal/oracle): every acknowledged write is
+// recorded with the version the store assigned, and a read invoked at t
+// is a violation when it returns a version older than a write
+// acknowledged before t − (T + T/2), the half-T slack covering push
+// delivery. A read of a write still in flight, and writers whose acks
+// land out of order, are within the bound. Any violation makes loadgen
+// exit non-zero.
 package main
 
 import (
@@ -31,9 +33,11 @@ import (
 	"os"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"freshcache"
+	"freshcache/internal/oracle"
 	"freshcache/internal/stats"
 	"freshcache/internal/workload"
 	"freshcache/internal/xrand"
@@ -48,7 +52,6 @@ func main() {
 	tBound := flag.Duration("t", 500*time.Millisecond, "staleness bound to validate against")
 	conns := flag.Int("conns", 0, "client connections (0: transport default)")
 	workers := flag.Int("workers", 8, "concurrent load workers")
-	pooled := flag.Bool("pooled", false, "use the seed-style pooled transport instead of the pipelined one")
 	seed := flag.Uint64("seed", 1, "workload seed")
 	flag.Parse()
 
@@ -56,17 +59,11 @@ func main() {
 	if *stores != "" {
 		storeAddrs = strings.Split(*stores, ",")
 	}
-	opts := freshcache.ClientOptions{MaxConns: *conns, Pooled: *pooled}
+	opts := freshcache.ClientOptions{MaxConns: *conns}
 	if err := run(*addr, storeAddrs, *wl, *duration, *rate, *tBound, *workers, opts, *seed); err != nil {
 		fmt.Fprintf(os.Stderr, "loadgen: %v\n", err)
 		os.Exit(1)
 	}
-}
-
-type keyState struct {
-	mu      sync.Mutex
-	lastVal string
-	lastAt  time.Time
 }
 
 func run(addr string, storeAddrs []string, wl string, duration time.Duration, rate float64, tBound time.Duration, workers int, opts freshcache.ClientOptions, seed uint64) error {
@@ -105,8 +102,9 @@ func run(addr string, storeAddrs []string, wl string, duration time.Duration, ra
 		errsC      stats.Counter
 		violations stats.Counter
 	)
-	states := make([]keyState, tr.NumKeys)
 	slack := tBound / 2
+	check := oracle.NewChecker(tBound + slack)
+	var seq atomic.Uint64
 
 	var wg sync.WaitGroup
 	stopAt := time.Now().Add(duration)
@@ -125,18 +123,16 @@ func run(addr string, storeAddrs []string, wl string, duration time.Duration, ra
 				key := fmt.Sprintf("key-%06d", req.Key)
 				start := time.Now()
 				if req.Op == workload.OpWrite {
-					val := fmt.Sprintf("%d", start.UnixNano())
-					if _, err := put(key, []byte(val)); err != nil {
+					n := seq.Add(1)
+					ver, err := put(key, oracle.Value(n))
+					if err != nil {
 						errsC.Inc()
 						continue
 					}
-					st := &states[req.Key]
-					st.mu.Lock()
-					st.lastVal, st.lastAt = val, start
-					st.mu.Unlock()
+					check.Ack(key, n, ver, time.Now())
 					writes.Inc()
 				} else {
-					v, _, err := c.Get(key)
+					v, ver, err := c.Get(key)
 					switch {
 					case errors.Is(err, freshcache.ErrNotFound):
 						notFound.Inc()
@@ -146,13 +142,7 @@ func run(addr string, storeAddrs []string, wl string, duration time.Duration, ra
 						continue
 					}
 					reads.Inc()
-					st := &states[req.Key]
-					st.mu.Lock()
-					lastVal, lastAt := st.lastVal, st.lastAt
-					st.mu.Unlock()
-					if lastVal != "" && time.Since(lastAt) > tBound+slack && string(v) != lastVal {
-						// The read returned data missing a write that is
-						// older than the staleness bound.
+					if !check.Check(key, v, ver, start).OK() {
 						violations.Inc()
 					}
 				}

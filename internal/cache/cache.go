@@ -210,11 +210,12 @@ type Server struct {
 	fillMu sync.Mutex
 	fills  map[string]*flight
 
-	mu     sync.Mutex
-	ln     net.Listener
-	watch  *cluster.Watcher // nil outside cluster mode
-	cancel context.CancelFunc
-	wg     sync.WaitGroup
+	mu      sync.Mutex
+	ln      net.Listener
+	watch   *cluster.Watcher // nil outside cluster mode
+	cancel  context.CancelFunc
+	closing bool // set by Close; bars Serve from registering in wg
+	wg      sync.WaitGroup
 }
 
 // New builds a cache node. In cluster mode the store ring is fetched
@@ -307,12 +308,25 @@ func (s *Server) ListenAndServe(addr string) error {
 // Serve accepts client connections on ln until Close, running one
 // subscription loop per store shard, the read-report loop, and (in
 // cluster mode) the ring watcher in the background.
+//
+// Serve after Close closes ln and returns net.ErrClosed at once.
 func (s *Server) Serve(ln net.Listener) error {
 	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	s.mu.Lock()
+	if s.closing {
+		s.mu.Unlock()
+		ln.Close()
+		return net.ErrClosed
+	}
 	s.ln = ln
 	s.cancel = cancel
+	// Serve holds a slot in wg until it returns, taken under mu before
+	// Close can set closing: every later Add then starts from a nonzero
+	// counter and cannot race Close's Wait.
+	s.wg.Add(1)
 	s.mu.Unlock()
+	defer s.wg.Done()
 
 	s.subMu.Lock()
 	s.serveCtx = ctx
@@ -339,7 +353,6 @@ func (s *Server) Serve(ln net.Listener) error {
 	for {
 		conn, err := ln.Accept()
 		if err != nil {
-			cancel()
 			return fmt.Errorf("cache: accept: %w", err)
 		}
 		s.wg.Add(1)
@@ -427,6 +440,7 @@ func (s *Server) Addr() net.Addr {
 func (s *Server) Close() error {
 	s.mu.Lock()
 	ln, cancel := s.ln, s.cancel
+	s.closing = true
 	s.mu.Unlock()
 	if cancel != nil {
 		cancel()

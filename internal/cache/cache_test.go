@@ -830,3 +830,42 @@ func TestConcurrentClients(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestServeCloseRace: Close may race a Serve that is just starting, and
+// a Serve after Close returns net.ErrClosed at once, closing its
+// listener, instead of accepting forever.
+func TestServeCloseRace(t *testing.T) {
+	h := startHarness(t, time.Hour, costmodel.Fixed(2, 0.25, 1), 0)
+	newServer := func() *Server {
+		s, err := New(Config{StoreAddr: h.storeAddr, T: time.Hour, Logger: quietLogger()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	for i := 0; i < 20; i++ {
+		s := newServer()
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		served := make(chan error, 1)
+		go func() { served <- s.Serve(ln) }()
+		s.Close()
+		if err := <-served; !errors.Is(err, net.ErrClosed) {
+			t.Fatalf("Serve racing Close returned %v", err)
+		}
+	}
+	s := newServer()
+	s.Close()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Serve(ln); !errors.Is(err, net.ErrClosed) {
+		t.Fatalf("Serve after Close returned %v", err)
+	}
+	if _, err := ln.Accept(); !errors.Is(err, net.ErrClosed) {
+		t.Errorf("Serve after Close left its listener open: %v", err)
+	}
+}

@@ -13,61 +13,56 @@ import (
 	"freshcache/internal/proto"
 )
 
-// MGet/MPut round-trip over both transports, per-key results in request
-// order, missing keys as clean not-founds.
+// MGet/MPut round-trip with per-key results in request order and
+// missing keys as clean not-founds.
 func TestBatchVerbs(t *testing.T) {
-	for _, mode := range []struct {
-		name   string
-		pooled bool
-	}{{"mux", false}, {"pooled", true}} {
-		t.Run(mode.name, func(t *testing.T) {
-			addr, _ := echoServer(t)
-			c := New(addr, Options{Pooled: mode.pooled})
-			defer c.Close()
+	t.Run("mux", func(t *testing.T) {
+		addr, _ := echoServer(t)
+		c := New(addr, Options{})
+		defer c.Close()
 
-			keys := []string{"b1", "b2", "b3"}
-			vals := [][]byte{[]byte("v1"), []byte("v2"), []byte("v3")}
-			wres, err := c.MPut(keys, vals)
-			if err != nil {
-				t.Fatal(err)
+		keys := []string{"b1", "b2", "b3"}
+		vals := [][]byte{[]byte("v1"), []byte("v2"), []byte("v3")}
+		wres, err := c.MPut(keys, vals)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, r := range wres {
+			if r.Err != nil || r.Version != 1 {
+				t.Errorf("MPut[%d] = %+v", i, r)
 			}
-			for i, r := range wres {
-				if r.Err != nil || r.Version != 1 {
-					t.Errorf("MPut[%d] = %+v", i, r)
-				}
-			}
+		}
 
-			rkeys := []string{"b2", "absent", "b1", "b2"} // dup in one batch
-			rres, err := c.MGet(rkeys)
-			if err != nil {
-				t.Fatal(err)
+		rkeys := []string{"b2", "absent", "b1", "b2"} // dup in one batch
+		rres, err := c.MGet(rkeys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rres) != len(rkeys) {
+			t.Fatalf("MGet returned %d results", len(rres))
+		}
+		want := []struct {
+			found bool
+			val   string
+		}{{true, "v2"}, {false, ""}, {true, "v1"}, {true, "v2"}}
+		for i, w := range want {
+			r := rres[i]
+			if r.Err != nil || r.Found != w.found || (w.found && string(r.Value) != w.val) {
+				t.Errorf("MGet[%d] = %+v, want found=%v %q", i, r, w.found, w.val)
 			}
-			if len(rres) != len(rkeys) {
-				t.Fatalf("MGet returned %d results", len(rres))
-			}
-			want := []struct {
-				found bool
-				val   string
-			}{{true, "v2"}, {false, ""}, {true, "v1"}, {true, "v2"}}
-			for i, w := range want {
-				r := rres[i]
-				if r.Err != nil || r.Found != w.found || (w.found && string(r.Value) != w.val) {
-					t.Errorf("MGet[%d] = %+v, want found=%v %q", i, r, w.found, w.val)
-				}
-			}
+		}
 
-			// Zero-key batches are no-ops, not wire traffic.
-			if res, err := c.MGet(nil); err != nil || len(res) != 0 {
-				t.Errorf("empty MGet = %v, %v", res, err)
-			}
-			if res, err := c.MPut(nil, nil); err != nil || len(res) != 0 {
-				t.Errorf("empty MPut = %v, %v", res, err)
-			}
-			if _, err := c.MPut([]string{"k"}, nil); err == nil {
-				t.Error("mismatched keys/values not rejected")
-			}
-		})
-	}
+		// Zero-key batches are no-ops, not wire traffic.
+		if res, err := c.MGet(nil); err != nil || len(res) != 0 {
+			t.Errorf("empty MGet = %v, %v", res, err)
+		}
+		if res, err := c.MPut(nil, nil); err != nil || len(res) != 0 {
+			t.Errorf("empty MPut = %v, %v", res, err)
+		}
+		if _, err := c.MPut([]string{"k"}, nil); err == nil {
+			t.Error("mismatched keys/values not rejected")
+		}
+	})
 }
 
 // A BatchInvalidate op in an MPUT response is that key's upstream write

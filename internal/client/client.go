@@ -2,21 +2,13 @@
 // the proto wire format and offers typed Get/Put/Stats calls plus the
 // cache-internal Fill and ReadReport verbs.
 //
-// Two transports live behind the one Client API:
-//
-//   - The default multiplexed, pipelined transport (mux.go): a small
-//     fixed set of TCP connections per target, each with a demux reader
-//     goroutine routing responses to waiters by sequence number and a
-//     writer goroutine gathering queued frames into single vectored
-//     writes. Concurrent calls share connections instead of queueing
-//     behind them, and request timeouts are per-waiter deadlines swept
-//     by a janitor, so one slow request does not poison a shared
-//     connection.
-//   - The seed-style pooled transport (pooled.go, Options.Pooled): each
-//     request checks a connection out of a bounded pool, performs one
-//     blocking write+read round trip, and checks it back in. Kept as the
-//     comparison baseline for the transport benchmarks and as a
-//     conservative fallback.
+// The transport is multiplexed and pipelined (mux.go): a small fixed
+// set of TCP connections per target, each with a demux reader goroutine
+// routing responses to waiters by sequence number and a writer
+// goroutine gathering queued frames into single vectored writes.
+// Concurrent calls share connections instead of queueing behind them,
+// and request timeouts are per-waiter deadlines swept by a janitor, so
+// one slow request does not poison a shared connection.
 //
 // Responses are copied out of the framing buffers, so returned values
 // remain valid after the next call.
@@ -46,30 +38,25 @@ var (
 
 // Options configures a Client.
 type Options struct {
-	// MaxConns bounds the connections per target: the pool size of the
-	// pooled transport, or the number of multiplexed connections
-	// concurrent requests are spread over. Defaults to 8 (pooled) and 1
-	// (multiplexed — one busy connection coalesces best: every queued
-	// frame joins the same vectored write and responses stream back
-	// through one warm demux loop).
+	// MaxConns is the number of multiplexed connections per target that
+	// concurrent requests are spread over. Defaults to 1: one busy
+	// connection coalesces best — every queued frame joins the same
+	// vectored write and responses stream back through one warm demux
+	// loop.
 	MaxConns int
 	// DialTimeout bounds connection establishment; defaults to 5s.
 	DialTimeout time.Duration
 	// RequestTimeout bounds one request/response exchange; defaults to
-	// 10s. On the multiplexed transport this is a per-waiter deadline
-	// (enforced by a coarse sweep, so it may fire up to ~12% late): a
-	// timed-out request abandons its response without disturbing the
-	// other requests in flight on the same connection.
+	// 10s. It is a per-waiter deadline (enforced by a coarse sweep, so
+	// it may fire up to ~12% late): a timed-out request abandons its
+	// response without disturbing the other requests in flight on the
+	// same connection.
 	RequestTimeout time.Duration
-	// Pooled selects the legacy checkout/blocking-round-trip transport
-	// instead of the multiplexed pipelined one. One request at a time
-	// occupies each connection, capping concurrency at MaxConns.
-	Pooled bool
 	// MaxAttempts bounds how many connections a request is tried on
 	// after transport failures that provably occurred before the request
-	// reached the wire (a stale pooled connection, an already-broken
-	// multiplexed one). Defaults to 3. A failure after the request may
-	// have been written is never retried — retrying could double-apply.
+	// reached the wire (an already-broken connection). Defaults to 3. A
+	// failure after the request may have been written is never retried
+	// — retrying could double-apply.
 	MaxAttempts int
 	// CoalesceWindow, when positive, enables the adaptive Get coalescer:
 	// single-key Gets issued within one window are merged into one wire
@@ -87,11 +74,7 @@ type Options struct {
 
 func (o *Options) fill() {
 	if o.MaxConns <= 0 {
-		if o.Pooled {
-			o.MaxConns = 8
-		} else {
-			o.MaxConns = 1
-		}
+		o.MaxConns = 1
 	}
 	if o.DialTimeout <= 0 {
 		o.DialTimeout = 5 * time.Second
@@ -107,30 +90,17 @@ func (o *Options) fill() {
 	}
 }
 
-// transport moves one request/response exchange; implementations assign
-// the request's Seq and copy buffer-aliasing response fields.
-type transport interface {
-	roundTrip(req *proto.Msg) (*proto.Msg, error)
-	close() error
-}
-
 // Client is a connection to one freshcache node.
 type Client struct {
 	addr string
-	tr   transport
+	mux  *muxTransport
 	co   *coalescer // non-nil when Options.CoalesceWindow is set
 }
 
 // New builds a client for addr. No connection is made until first use.
 func New(addr string, opts Options) *Client {
 	opts.fill()
-	var tr transport
-	if opts.Pooled {
-		tr = newPooled(addr, opts)
-	} else {
-		tr = newMux(addr, opts)
-	}
-	c := &Client{addr: addr, tr: tr}
+	c := &Client{addr: addr, mux: newMux(addr, opts)}
 	if opts.CoalesceWindow > 0 {
 		c.co = &coalescer{c: c, window: opts.CoalesceWindow, maxBatch: opts.CoalesceMaxBatch}
 	}
@@ -142,14 +112,14 @@ func (c *Client) Addr() string { return c.addr }
 
 // do performs one exchange and unwraps server-level errors. It owns
 // req: callers build requests with proto.GetMsg (or a literal) and do
-// recycles them once the transport is done — both transports encode the
+// recycles them once the transport is done — the transport encodes the
 // request synchronously inside roundTrip, so nothing aliases it after
 // return. The returned response is pooled too; callers must release it
 // via proto.PutMsg after extracting what they need. Everything a caller
 // might retain (Value, Stats, Nodes, ring fields) is freshly allocated
 // per response, so extraction is plain field reads, not copies.
 func (c *Client) do(req *proto.Msg) (*proto.Msg, error) {
-	resp, err := c.tr.roundTrip(req)
+	resp, err := c.mux.roundTrip(req)
 	proto.PutMsg(req)
 	if err != nil {
 		return nil, err
@@ -323,7 +293,7 @@ func (c *Client) Stats() (map[string]uint64, error) {
 }
 
 // Close tears down the transport's connections; in-flight requests fail.
-func (c *Client) Close() error { return c.tr.close() }
+func (c *Client) Close() error { return c.mux.close() }
 
 // ---- Cluster control-plane calls (coordinator and store admin) ----
 

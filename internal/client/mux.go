@@ -12,7 +12,7 @@ import (
 	"freshcache/internal/proto"
 )
 
-// muxTransport is the default transport: a small fixed set of
+// muxTransport is the client transport: a small fixed set of
 // multiplexed connections, each shared by every concurrent request
 // routed to it. Requests are encoded in the caller's goroutine into
 // pooled frames, queued to the connection's writer (which coalesces

@@ -319,9 +319,8 @@ func TestMuxCloseFailsInFlight(t *testing.T) {
 	}
 }
 
-// TestMuxValueDoesNotAliasFramingBuffer is the mux twin of the pooled
-// aliasing test: a returned value must survive subsequent traffic on the
-// same connection.
+// TestMuxValueDoesNotAliasFramingBuffer: a returned value must survive
+// subsequent traffic on the same connection.
 func TestMuxValueDoesNotAliasFramingBuffer(t *testing.T) {
 	s := startMuxTestServer(t, echoHandler, 0)
 	c := New(s.addr(), Options{MaxConns: 1})

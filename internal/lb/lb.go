@@ -199,13 +199,25 @@ func (s *Server) ListenAndServe(addr string) error {
 	return s.Serve(ln)
 }
 
-// Serve accepts connections until Close.
+// Serve accepts connections until Close. Serve after Close closes ln
+// and returns net.ErrClosed at once.
 func (s *Server) Serve(ln net.Listener) error {
 	ctx, cancel := context.WithCancel(context.Background())
 	s.mu.Lock()
+	if s.draining {
+		s.mu.Unlock()
+		cancel()
+		ln.Close()
+		return net.ErrClosed
+	}
 	s.ln = ln
 	s.cancel = cancel
+	// Serve holds a slot in wg until it returns, taken under mu before
+	// Close can set draining: every later Add then starts from a nonzero
+	// counter and cannot race Close's Wait.
+	s.wg.Add(1)
 	s.mu.Unlock()
+	defer s.wg.Done()
 	if s.cfg.ClusterAddr != "" {
 		w := cluster.NewWatcher(s.cfg.ClusterAddr, s.cfg.WatchInterval, s.stores.Epoch(),
 			func(ri client.RingInfo) {

@@ -211,3 +211,42 @@ func TestConfigValidation(t *testing.T) {
 		t.Error("missing caches accepted")
 	}
 }
+
+// TestServeCloseRace: Close may race a Serve that is just starting, and
+// a Serve after Close returns net.ErrClosed at once, closing its
+// listener, instead of accepting forever.
+func TestServeCloseRace(t *testing.T) {
+	// Serve dials nothing up front, so the upstreams need not exist.
+	newServer := func() *Server {
+		s, err := New(Config{StoreAddr: "127.0.0.1:1", CacheAddrs: []string{"127.0.0.1:2"}, Logger: quietLogger()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	for i := 0; i < 20; i++ {
+		s := newServer()
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		served := make(chan error, 1)
+		go func() { served <- s.Serve(ln) }()
+		s.Close()
+		if err := <-served; !errors.Is(err, net.ErrClosed) {
+			t.Fatalf("Serve racing Close returned %v", err)
+		}
+	}
+	s := newServer()
+	s.Close()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Serve(ln); !errors.Is(err, net.ErrClosed) {
+		t.Fatalf("Serve after Close returned %v", err)
+	}
+	if _, err := ln.Accept(); !errors.Is(err, net.ErrClosed) {
+		t.Errorf("Serve after Close left its listener open: %v", err)
+	}
+}

@@ -397,13 +397,27 @@ func (s *Server) ListenAndServe(addr string) error {
 }
 
 // Serve accepts connections on ln until Close. It always returns a
-// non-nil error; after Close the error is net.ErrClosed.
+// non-nil error; after Close the error is net.ErrClosed, and a Serve
+// that starts after Close closes ln and returns at once.
 func (s *Server) Serve(ln net.Listener) error {
 	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	s.mu.Lock()
+	select {
+	case <-s.closed:
+		s.mu.Unlock()
+		ln.Close()
+		return net.ErrClosed
+	default:
+	}
 	s.ln = ln
 	s.cancel = cancel
+	// Serve holds a slot in wg until it returns, taken under mu before
+	// Close can mark the server closed: every later Add then starts from
+	// a nonzero counter and cannot race Close's Wait.
+	s.wg.Add(1)
 	s.mu.Unlock()
+	defer s.wg.Done()
 
 	s.wg.Add(1)
 	go s.flusher(ctx)
@@ -415,7 +429,6 @@ func (s *Server) Serve(ln net.Listener) error {
 	for {
 		conn, err := ln.Accept()
 		if err != nil {
-			cancel()
 			return fmt.Errorf("store: accept: %w", err)
 		}
 		s.c.ConnectionsAccepted.Inc()
@@ -436,17 +449,18 @@ func (s *Server) Addr() net.Addr {
 
 // Close stops the server and waits for connection goroutines to drain.
 func (s *Server) Close() error {
-	s.mu.Lock()
-	ln, cancel := s.ln, s.cancel
-	s.mu.Unlock()
 	// Signal shutdown before waiting: background replica syncs select
 	// on closed between (and during) retries, so a sync against an
 	// unreachable primary cannot stall Close for its full retry budget.
+	// Closing under mu also bars a later Serve from registering.
+	s.mu.Lock()
+	ln, cancel := s.ln, s.cancel
 	select {
 	case <-s.closed:
 	default:
 		close(s.closed)
 	}
+	s.mu.Unlock()
 	if cancel != nil {
 		cancel()
 	}

@@ -2,6 +2,8 @@ package store
 
 import (
 	"errors"
+	"io"
+	"log"
 	"net"
 	"testing"
 	"time"
@@ -395,5 +397,36 @@ func TestReadReportBulkIngestion(t *testing.T) {
 	// Counts above MaxReportCount are clamped, not rejected.
 	if err := c.ReadReport([]proto.ReadReport{{Key: "hot", Count: 1 << 30}}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestServeCloseRace: Close may race a Serve that is just starting, and
+// a Serve after Close returns net.ErrClosed at once, closing its
+// listener, instead of accepting forever.
+func TestServeCloseRace(t *testing.T) {
+	for i := 0; i < 20; i++ {
+		s := New(Config{T: time.Hour, Logger: log.New(io.Discard, "", 0)})
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		served := make(chan error, 1)
+		go func() { served <- s.Serve(ln) }()
+		s.Close()
+		if err := <-served; !errors.Is(err, net.ErrClosed) {
+			t.Fatalf("Serve racing Close returned %v", err)
+		}
+	}
+	s := New(Config{T: time.Hour, Logger: log.New(io.Discard, "", 0)})
+	s.Close()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Serve(ln); !errors.Is(err, net.ErrClosed) {
+		t.Fatalf("Serve after Close returned %v", err)
+	}
+	if _, err := ln.Accept(); !errors.Is(err, net.ErrClosed) {
+		t.Errorf("Serve after Close left its listener open: %v", err)
 	}
 }

@@ -2,7 +2,8 @@
 # Observability smoke test: boot a minimal cluster (coordinator, store,
 # cache, LB) with -obs listeners, check every /metrics endpoint serves
 # the expected families, run one traced request through the full chain,
-# and take one freshctl top sample. CI runs this after the unit tests.
+# take one freshctl top sample, and run a short loadgen whose staleness
+# check must pass. CI runs this after the unit tests.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -10,7 +11,7 @@ cd "$(dirname "$0")/.."
 BIN=$(mktemp -d)
 trap 'kill $(jobs -p) 2>/dev/null || true; rm -rf "$BIN"' EXIT
 
-go build -o "$BIN" ./cmd/coordserver ./cmd/storeserver ./cmd/cacheserver ./cmd/lbserver ./cmd/freshctl
+go build -o "$BIN" ./cmd/coordserver ./cmd/storeserver ./cmd/cacheserver ./cmd/lbserver ./cmd/freshctl ./cmd/loadgen
 
 STORE=127.0.0.1:7461
 CACHE=127.0.0.1:7462
@@ -112,5 +113,10 @@ top=$("$BIN"/freshctl -samples 1 top "$OBS_STORE" "$OBS_CACHE" "$OBS_LB" "$OBS_C
 grep -q "4/4 nodes up" <<<"$top" || { echo "FAIL: freshctl top did not reach all 4 nodes" >&2; echo "$top" >&2; exit 1; }
 grep -q freshcache_ <<<"$top" || { echo "FAIL: freshctl top rendered no families" >&2; exit 1; }
 echo "ok: freshctl top"
+
+# Load through the LB, every read judged by the staleness oracle:
+# loadgen exits non-zero on any read staler than the bound.
+"$BIN"/loadgen -addr "$LB" -workload poisson-mix -duration 3s -rate 2000 -t 200ms -workers 8
+echo "ok: loadgen staleness check"
 
 echo "observability smoke: PASS"
